@@ -5,14 +5,12 @@
 #include <deque>
 #include <limits>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/thrifty.hpp"
 #include "io/binary_io.hpp"
 #include "io/mmap_io.hpp"
-#include "plan/plan.hpp"
-#include "plan/solve.hpp"
 #include "support/parallel.hpp"
 #include "support/simd.hpp"
 #include "support/timer.hpp"
@@ -229,15 +227,6 @@ ShardedCcResult solve(ShardProvider& provider, VertexId num_vertices,
                       const ShardedCcOptions& options) {
   ShardedCcResult result;
   result.labels = core::make_label_array(num_vertices);
-  // Parse the round-0 plan spec once, up front; a recorded trace
-  // describes a single whole-graph solve and cannot drive per-shard
-  // interiors, so replay mode is a configuration error here.
-  const plan::PlanSpec round0_plan = plan::parse_plan_spec(options.plan);
-  if (round0_plan.mode == plan::PlanSpec::Mode::kReplay) {
-    throw std::runtime_error(
-        "sharded solve does not support replay plans (got '" +
-        options.plan + "'); use auto or fixed:<spec>");
-  }
   const int num_shards = provider.num_shards();
   const SimdLevel simd_level = support::simd::effective_level();
   support::AccumulatingTimer sweep_timer;
@@ -258,8 +247,7 @@ ShardedCcResult solve(ShardProvider& provider, VertexId num_vertices,
     const graph::CsrGraph& local = provider.csr(k);
 
     sweep_timer.start();
-    const core::CcResult local_result =
-        plan::solve_with_plan(local, options.cc, round0_plan).result;
+    const core::CcResult local_result = core::thrifty_cc(local, options.cc);
     const std::vector<Label> canon =
         core::canonical_labels(local_result.label_span());
     Label* owned = result.labels.data() + shard.begin;

@@ -443,15 +443,15 @@ std::optional<OracleFailure> check_edge_addition_monotonicity(
 std::optional<OracleFailure> check_sharded_solve(
     const CsrGraph& graph, std::span<const Label> reference,
     const RunSetup& setup) {
-  // Same full-configuration snapshot as run_under: the round-0 local
-  // solves and the exchange sweeps all run under the perturbed width,
-  // hub split and kernel level.
+  // Same configuration snapshot as run_under, minus the plan: the
+  // round-0 Thrifty solves and the exchange sweeps all run under the
+  // perturbed width, hub split and kernel level, and no sharded path
+  // consults a plan spec.
   support::RunConfig config = support::run_config();
   config.hub_split_degree = setup.hub_split_degree;
   config.placement = setup.placement;
   config.simd = setup.simd;
   config.numa_steal = setup.numa_steal;
-  config.plan = setup.plan;
   const support::RunConfigOverride config_scope(config);
   const support::ThreadCountGuard thread_scope(
       setup.threads > 0 ? setup.threads : support::num_threads());

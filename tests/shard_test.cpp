@@ -15,7 +15,6 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -190,31 +189,6 @@ TEST(ShardedSolve, MatchesReferenceOnEveryScenarioFamily) {
       }
     }
   }
-}
-
-// Round-0 local solves run through the plan layer: any fixed spec —
-// including the barrier-free async drain — must produce the same
-// canonical partition, because every shard canonicalises its local
-// labelling before publishing.  Replay specs are rejected up front.
-TEST(ShardedSolve, RoundZeroPlanSpecChangesScheduleNotResult) {
-  const CsrGraph g = testing::build_scenario_graph(
-      testing::scenario_from_spec("permuted_rmat:4"));
-  const std::vector<Label> reference = testing::reference_partition(g);
-  const ShardedGraph sharded = partition_shards(g, 3);
-  for (const char* plan :
-       {"auto", "fixed:async", "fixed:pull*2,finish", "fixed:push"}) {
-    ShardedCcOptions options;
-    options.plan = plan;
-    const ShardedCcResult result = sharded_cc(sharded, options);
-    EXPECT_TRUE(core::same_partition(result.label_span(), reference))
-        << "plan=" << plan;
-  }
-  ShardedCcOptions replayed;
-  replayed.plan = "replay:/nonexistent.trace";
-  EXPECT_THROW((void)sharded_cc(sharded, replayed), std::runtime_error);
-  ShardedCcOptions malformed;
-  malformed.plan = "fixed:bogus";
-  EXPECT_THROW((void)sharded_cc(sharded, malformed), std::runtime_error);
 }
 
 TEST(ShardedSolve, OracleAcceptsCorrectSolveAndDescribesShards) {

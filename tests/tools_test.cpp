@@ -69,6 +69,11 @@ TEST(LoadGraph, GeneratorSpecs) {
 TEST(LoadGraph, RejectsBadSpecs) {
   EXPECT_THROW((void)load_graph("gen:unknown:x=1"), std::runtime_error);
   EXPECT_THROW((void)load_graph("gen:rmat:notkv"), std::runtime_error);
+  // Colon-separated keys: "14:ef=8" is not an integer, so this must not
+  // quietly build scale=14 with the default ef.
+  EXPECT_THROW((void)load_graph("gen:rmat:scale=8:ef=4"),
+               std::runtime_error);
+  EXPECT_THROW((void)load_graph("gen:grid:w=4,hh=4"), std::runtime_error);
   EXPECT_THROW((void)load_graph("gen:dataset:bogus"), std::runtime_error);
   EXPECT_THROW((void)load_graph("/nonexistent/file.el"),
                std::runtime_error);

@@ -32,11 +32,10 @@
 // the input runs the *streaming* sharded solver instead: shard CSRs
 // are windowed through the mmap residency policy, and
 // --memory-budget caps the resident window (accepts k/m/g suffixes;
-// 0 or absent = unlimited).  Sharded runs accept --plan for the
-// round-0 shard-local solves (default auto; replay specs are rejected
-// — a trace describes one whole-graph solve) but are exclusive with
-// --algo/--plan-trace/--reorder; --verify needs the whole graph and
-// is only available for the in-memory form.
+// 0 or absent = unlimited).  Sharded runs solve each shard with
+// Thrifty and are exclusive with --algo/--plan/--plan-trace/--reorder;
+// --verify needs the whole graph and is only available for the
+// in-memory form.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -141,32 +140,13 @@ int finish_sharded(const tools::ArgParser& args,
 
 /// --shards=K / .shards-manifest entry point.
 int run_sharded(const tools::ArgParser& args, bool manifest_input) {
-  for (const char* flag : {"algo", "plan-trace", "reorder"}) {
+  for (const char* flag : {"algo", "plan", "plan-trace", "reorder"}) {
     if (args.flag(flag)) {
       std::fprintf(stderr, "--%s does not apply to sharded runs\n", flag);
       return 2;
     }
   }
   shard::ShardedCcOptions options;
-  // --plan drives the round-0 shard-local solves.  Validate here so a
-  // typo fails with a usage message instead of an exception from the
-  // solver; replay mode is rejected by the solver itself, but catching
-  // it here keeps the error channel consistent.
-  if (const auto plan_text = args.flag("plan")) {
-    try {
-      const plan::PlanSpec spec = plan::parse_plan_spec(*plan_text);
-      if (spec.mode == plan::PlanSpec::Mode::kReplay) {
-        std::fprintf(stderr,
-                     "--plan=replay:<file> does not apply to sharded "
-                     "runs (use auto or fixed:<spec>)\n");
-        return 2;
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bad --plan value: %s\n", e.what());
-      return 2;
-    }
-    options.plan = *plan_text;
-  }
   if (const double threshold = args.flag_double("threshold", -1.0);
       threshold >= 0.0) {
     options.cc.density_threshold = threshold;
@@ -265,11 +245,15 @@ int run(int argc, char** argv) {
     }
     config.placement = *placement;
   }
+  const bool manifest_input = ends_with(args.positional()[0], ".shards");
+  const bool sharded = manifest_input || args.flag("shards") ||
+                       args.flag("memory-budget");
   // --plan drives the adaptive planner end to end: validate the spec up
   // front, install it into the config (the registry entry reads it from
-  // there), and default the algorithm to "adaptive".
+  // there), and default the algorithm to "adaptive".  Sharded runs
+  // reject --plan outright in run_sharded.
   std::optional<plan::PlanSpec> plan_spec;
-  if (const auto text = args.flag("plan")) {
+  if (const auto text = args.flag("plan"); text && !sharded) {
     try {
       plan_spec = plan::parse_plan_spec(*text);
     } catch (const std::exception& e) {
@@ -280,11 +264,7 @@ int run(int argc, char** argv) {
   }
   const support::RunConfigOverride config_scope(config);
 
-  const bool manifest_input = ends_with(args.positional()[0], ".shards");
-  if (manifest_input || args.flag("shards") ||
-      args.flag("memory-budget")) {
-    return run_sharded(args, manifest_input);
-  }
+  if (sharded) return run_sharded(args, manifest_input);
 
   tools::LoadOptions load_options;
   load_options.use_mmap = args.has_flag("mmap");

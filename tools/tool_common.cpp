@@ -1,10 +1,13 @@
 #include "tools/tool_common.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "bench_common/datasets.hpp"
 #include "gen/barabasi_albert.hpp"
@@ -89,11 +92,34 @@ std::map<std::string, std::string> parse_kv(const std::string& spec) {
   return kv;
 }
 
+/// Rejects a key the generator does not take, so a misspelt key fails
+/// instead of silently leaving its parameter at the default.
+void check_keys(const std::map<std::string, std::string>& kv,
+                const std::string& kind,
+                std::initializer_list<std::string_view> known) {
+  for (const auto& [key, value] : kv) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw std::runtime_error("generator spec: unknown key '" + key +
+                               "' for " + kind);
+    }
+  }
+}
+
+/// The whole value must be a base-10 integer: "14:ef=8" is an error,
+/// not 14.
 std::int64_t kv_int(const std::map<std::string, std::string>& kv,
                     const std::string& key, std::int64_t fallback) {
   const auto it = kv.find(key);
   if (it == kv.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    throw std::runtime_error("generator spec: bad integer for '" + key +
+                             "': '" + text + "'");
+  }
+  return value;
 }
 
 graph::CsrGraph build_from_generator(const std::string& spec) {
@@ -113,6 +139,7 @@ graph::CsrGraph build_from_generator(const std::string& spec) {
   }
   const auto kv = parse_kv(rest);
   if (kind == "rmat") {
+    check_keys(kv, kind, {"scale", "ef", "seed"});
     gen::RmatParams params;
     params.scale = static_cast<int>(kv_int(kv, "scale", 14));
     params.edge_factor = static_cast<int>(kv_int(kv, "ef", 16));
@@ -120,6 +147,7 @@ graph::CsrGraph build_from_generator(const std::string& spec) {
     return graph::build_csr(gen::rmat_edges(params)).graph;
   }
   if (kind == "ba") {
+    check_keys(kv, kind, {"n", "m", "seed"});
     gen::BarabasiAlbertParams params;
     params.num_vertices =
         static_cast<graph::VertexId>(kv_int(kv, "n", 1 << 14));
@@ -128,6 +156,7 @@ graph::CsrGraph build_from_generator(const std::string& spec) {
     return graph::build_csr(gen::barabasi_albert_edges(params)).graph;
   }
   if (kind == "grid") {
+    check_keys(kv, kind, {"w", "h", "seed"});
     gen::GridParams params;
     params.width = static_cast<graph::VertexId>(kv_int(kv, "w", 256));
     params.height = static_cast<graph::VertexId>(kv_int(kv, "h", 256));
@@ -137,6 +166,7 @@ graph::CsrGraph build_from_generator(const std::string& spec) {
         .graph;
   }
   if (kind == "er") {
+    check_keys(kv, kind, {"n", "m", "seed"});
     gen::ErdosRenyiParams params;
     params.num_vertices =
         static_cast<graph::VertexId>(kv_int(kv, "n", 1 << 14));
