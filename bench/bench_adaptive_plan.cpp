@@ -1,5 +1,5 @@
-// Adaptive execution planner vs fixed strategy scripts, across the
-// scenario families the planner's decisions hinge on:
+// Adaptive execution planner vs fixed strategy scripts vs plain Thrifty,
+// across the scenario families the planner's decisions hinge on:
 //   * rmat            — skewed R-MAT (Graph500 parameters): the paper's
 //                       social-network shape, where the sampled-giant
 //                       cutover and density switching both fire,
@@ -7,9 +7,12 @@
 //                       degenerate skew that hub splitting exists for,
 //   * two_clique_bridge — two dense blocks joined by one edge: high
 //                       density, no useful frontier sparsity,
-//   * uniform         — flat-quadrant R-MAT (a = b = c = d = 0.25):
-//                       no skew, so the profile must *not* split hubs.
-// The plan column sweeps the fixed strategy scripts plus the
+//   * uniform         — flat-quadrant R-MAT (a = b = c = d = 0.25): no
+//                       skew,
+//   * grid            — a 2-D grid: the high-diameter road-network
+//                       shape, where every pull is a dense sweep.
+// The plan column sweeps `thrifty` (core::thrifty_cc, the bar every plan
+// is measured against), auto, the fixed strategy scripts and the
 // barrier-free async drain (fixed:async); every (scenario, plan) pair
 // is cross-checked against the union-find reference partition before
 // it is timed — an adversarial plan may cost time, never correctness.
@@ -17,12 +20,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common/harness.hpp"
 #include "bench_common/json_report.hpp"
 #include "bench_common/table_printer.hpp"
 #include "core/cc_common.hpp"
+#include "core/thrifty.hpp"
+#include "gen/grid.hpp"
 #include "gen/rmat.hpp"
 #include "gen/simple.hpp"
 #include "graph/builder.hpp"
@@ -88,6 +94,16 @@ CsrGraph build_two_clique_bridge(int rmat_scale) {
   return graph::build_csr(edges, half * 2).graph;
 }
 
+CsrGraph build_grid(int rmat_scale) {
+  // The R-MAT scenarios' vertex count, as a near-square grid.
+  gen::GridParams params;
+  params.width = VertexId{1} << (rmat_scale - rmat_scale / 2);
+  params.height = VertexId{1} << (rmat_scale / 2);
+  return graph::build_csr(gen::grid_edges(params),
+                          params.width * params.height)
+      .graph;
+}
+
 struct ScenarioRow {
   const char* name;
   CsrGraph graph;
@@ -96,11 +112,12 @@ struct ScenarioRow {
 struct PlanRow {
   /// Short label for tables/JSON.
   const char* name;
-  /// The --plan / THRIFTY_PLAN spec text.
+  /// The --plan / THRIFTY_PLAN spec text; nullptr runs core::thrifty_cc.
   const char* spec_text;
 };
 
 constexpr PlanRow kPlans[] = {
+    {"thrifty", nullptr},
     {"auto", "auto"},
     {"pull", "fixed:pull"},
     {"pullf", "fixed:pullf"},
@@ -138,10 +155,11 @@ int run(int argc, char** argv) {
   scenarios.push_back({"two_clique_bridge",
                        build_two_clique_bridge(rmat_scale)});
   scenarios.push_back({"uniform", build_rmat(rmat_scale, /*uniform=*/true)});
+  scenarios.push_back({"grid", build_grid(rmat_scale)});
 
   bench::JsonReport report;
   bench::TablePrinter table(
-      {"Scenario", "Plan", "Best (ms)", "Steps", "vs auto"});
+      {"Scenario", "Plan", "Best (ms)", "Steps", "vs auto", "vs thrifty"});
 
   const core::CcOptions cc_options;
   for (const ScenarioRow& scenario : scenarios) {
@@ -149,43 +167,59 @@ int run(int argc, char** argv) {
                 bench::describe_graph(scenario.graph).c_str());
     const std::vector<Label> reference =
         testing::reference_partition(scenario.graph);
+    double thrifty_ms = 0.0;
     double auto_ms = 0.0;
     for (const PlanRow& plan : kPlans) {
-      const plan::PlanSpec spec = plan::parse_plan_spec(plan.spec_text);
+      const plan::PlanSpec spec = plan.spec_text == nullptr
+                                      ? plan::PlanSpec{}
+                                      : plan::parse_plan_spec(plan.spec_text);
+      // One solve: Thrifty itself, or the executor under the plan spec.
+      // Returns the labels and the step count (Thrifty's iterations).
+      const auto solve = [&]() -> std::pair<core::CcResult, std::size_t> {
+        if (plan.spec_text == nullptr) {
+          core::CcResult result = core::thrifty_cc(scenario.graph, cc_options);
+          const auto steps =
+              static_cast<std::size_t>(result.stats.num_iterations);
+          return {std::move(result), steps};
+        }
+        plan::PlanResult result =
+            plan::solve_with_plan(scenario.graph, cc_options, spec);
+        return {std::move(result.result), result.trace.steps.size()};
+      };
       // Correctness gate before any timing.
-      plan::PlanResult checked =
-          plan::solve_with_plan(scenario.graph, cc_options, spec);
-      if (!core::same_partition(checked.result.label_span(), reference)) {
+      const auto [checked, steps] = solve();
+      if (!core::same_partition(checked.label_span(), reference)) {
         std::fprintf(stderr,
                      "FATAL: plan '%s' on %s diverged from the "
                      "union-find reference — refusing to time\n",
-                     plan.spec_text, scenario.name);
+                     plan.name, scenario.name);
         std::abort();
       }
-      const std::size_t steps = checked.trace.steps.size();
       const double ms = min_time_ms(trials, [&] {
-        const plan::PlanResult timed =
-            plan::solve_with_plan(scenario.graph, cc_options, spec);
-        if (timed.result.labels.size() != checked.result.labels.size()) {
+        if (solve().first.labels.size() != checked.labels.size()) {
           std::abort();
         }
       });
+      if (plan.spec_text == nullptr) thrifty_ms = ms;
       if (std::string(plan.name) == "auto") auto_ms = ms;
       const double vs_auto = auto_ms > 0.0 ? ms / auto_ms : 1.0;
+      const double vs_thrifty = ms / thrifty_ms;
       table.add_row({scenario.name, plan.name,
                      bench::TablePrinter::fmt_ms(ms),
                      bench::TablePrinter::fmt_count(steps),
-                     bench::TablePrinter::fmt_ratio(vs_auto)});
+                     bench::TablePrinter::fmt_ratio(vs_auto),
+                     bench::TablePrinter::fmt_ratio(vs_thrifty)});
       report.add({std::string(scenario.name) + "/" + plan.name,
                   {{"best_ms", ms},
                    {"steps", static_cast<double>(steps)},
-                   {"vs_auto", vs_auto}}});
+                   {"vs_auto", vs_auto},
+                   {"vs_thrifty", vs_thrifty}}});
     }
   }
 
   table.print();
-  std::printf("(vs auto > 1.0 means the fixed plan is slower than the "
-              "adaptive planner)\n");
+  std::printf("(vs auto > 1.0 means the row is slower than the adaptive "
+              "planner; vs thrifty > 1.0, slower than plain Thrifty)\n");
 
   const std::string json_path = bench::json_path_from_args(argc, argv);
   if (!json_path.empty() && !report.write_file(json_path)) return 1;

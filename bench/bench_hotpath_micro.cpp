@@ -648,12 +648,12 @@ int run(int argc, char** argv) {
   }
 
   // --- Barrier-free async drain on the plain skewed R-MAT (no
-  // overlaid star — the moderate-skew band the adaptive planner routes
-  // to async, not the hub-degenerate shape above): full
-  // barrier-synchronous pull sweeps to the fixed point vs a single
+  // overlaid star): the executor's in-place pull sweeps to the fixed
+  // point (fixed:pull, Thrifty's Unified Labels Array pull) vs a single
   // fixed:async step (CAS-min publish, dirty-flag work stealing, no
-  // barriers).  Partitions are cross-checked before timing — the async
-  // interior is schedule-dependent, the fixed point is not.
+  // barriers), both after the same Zero Planting and Initial Push.
+  // Partitions are cross-checked before timing — both interiors are
+  // schedule-dependent, the fixed point is not.
   {
     gen::RmatParams params;
     params.scale = rmat_scale;
@@ -679,7 +679,7 @@ int run(int argc, char** argv) {
       (void)plan::solve_with_plan(g, cc_options, async);
     });
     report.add_comparison("async_solve_e2e", baseline_ms, optimized_ms);
-    table.add_row({"async_solve_e2e (pull/async)",
+    table.add_row({"async_solve_e2e (in-place pull/async)",
                    bench::TablePrinter::fmt_ms(baseline_ms),
                    bench::TablePrinter::fmt_ms(optimized_ms),
                    bench::TablePrinter::fmt_ratio(baseline_ms /

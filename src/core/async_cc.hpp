@@ -37,11 +37,12 @@ struct AsyncStats {
 };
 
 /// Runs barrier-free min-label propagation in place over `labels`
-/// (graph.num_vertices() entries) until global quiescence.  Labels must
-/// be a monotone label-propagation state: each labels[v] is the id of
-/// some vertex in v's component with labels[v] <= v (the identity
-/// initialisation and every sweep of the plan executor preserve this).
-/// On return every vertex holds its component's minimum id.
+/// (graph.num_vertices() entries) until global quiescence.  Labels need
+/// not be vertex ids; they must be component-disjoint: no value held in
+/// one component occurs in another (the identity initialisation, Zero
+/// Planting's v + 1 with 0 on one site, and every kernel of
+/// core/lp_kernels.hpp preserve this).  On return every vertex holds its
+/// component's smallest initial label.
 AsyncStats async_propagate(const graph::CsrGraph& graph,
                            graph::Label* labels, const CcOptions& options);
 

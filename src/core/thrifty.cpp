@@ -1,23 +1,16 @@
 #include "core/thrifty.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
-#include <atomic>
 #include <unordered_set>
 #include <vector>
 
 #include "core/lp_internal.hpp"
+#include "core/lp_kernels.hpp"
 #include "frontier/density.hpp"
-#include "frontier/hub_chunks.hpp"
-#include "frontier/local_worklists.hpp"
-#include "partition/scheduler.hpp"
 #include "instrument/counters.hpp"
 #include "support/assert.hpp"
 #include "support/parallel.hpp"
-#include "support/prefetch.hpp"
 #include "support/random.hpp"
-#include "support/simd.hpp"
 #include "support/timer.hpp"
 
 namespace thrifty::core {
@@ -97,9 +90,10 @@ std::vector<VertexId> select_plant_sites(const CsrGraph& g, PlantSite site,
   return sites;
 }
 
-/// Algorithm 2, templated on the counter policy and (for the hot loops)
-/// on whether Zero Convergence is compiled in.  The plant site and the
-/// Initial Push toggle are runtime parameters: they only affect start-up.
+/// Algorithm 2 as a policy over the kernel layer (core/lp_kernels.hpp),
+/// templated on the counter policy and (for the hot loops) on whether
+/// Zero Convergence is compiled in.  The plant site and the Initial Push
+/// toggle are runtime parameters: they only affect start-up.
 template <typename Counters, bool kZeroConv>
 CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
                       const ThriftyVariant& variant,
@@ -116,56 +110,41 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
   result.stats.instrumented = Counters::kEnabled;
   result.labels = make_label_array(n);
   if (n == 0) return result;
-  LabelArray& labels = result.labels;
 
   Counters counters;
   support::Timer total_timer;
+  LpKernels<Counters, kZeroConv> kernels(
+      g, result.labels, options.partitions_per_thread, counters);
 
-  // --- Zero Planting (Lines 3-9): labels start at v+k; the k smallest
-  // labels are reserved for the plant sites — the maximum-degree
-  // vertices in real Thrifty (k = 1 in the paper), almost surely hubs of
-  // the giant component.
-#pragma omp parallel for schedule(static)
-  for (VertexId v = 0; v < n; ++v) {
-    labels[v] = v + plant_count;
-  }
+  // --- Zero Planting: the k smallest labels go to the plant sites — the
+  // maximum-degree vertices in real Thrifty (k = 1 in the paper), almost
+  // surely hubs of the giant component.
   const std::vector<VertexId> seeds = select_plant_sites(
       g, variant.plant_site, variant.plant_count, options.seed);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    labels[seeds[i]] = static_cast<Label>(i);
-  }
+  kernels.plant(seeds);
 
-  // Kernel instruction-set level for the dense pull sweeps, resolved
-  // once per invocation (THRIFTY_SIMD clamped to host support, scalar
-  // for id spaces beyond the 32-bit gather range).
-  const support::SimdLevel simd_level =
-      support::simd::gather_level(support::simd::effective_level(), n);
-
-  const int threads = support::num_threads();
-  frontier::LocalWorklists current(n, threads);
-  frontier::LocalWorklists next(n, threads);
-  partition::PartitionScheduler scheduler(g, options.partitions_per_thread);
-  // Frontier vertices above this degree are traversed edge-parallel
-  // during push so one hub cannot serialise an iteration.
-  const EdgeOffset hub_threshold =
-      frontier::hub_split_threshold(m, threads);
-  const auto degree_of = [&g](VertexId v) { return g.degree(v); };
+  // Fills the instrumented fields of one iteration record and banks it.
+  const auto finish_record = [&](IterationRecord& rec,
+                                 const instrument::EventCounters& before,
+                                 const support::Timer& iteration_timer) {
+    rec.time_ms = iteration_timer.elapsed_ms();
+    if constexpr (Counters::kEnabled) {
+      rec.edges_processed = detail::edges_delta(before, counters.total());
+      if (!final_labels.empty()) {
+        rec.converged_vertices =
+            detail::count_converged(result.label_span(), final_labels);
+      }
+    }
+    result.stats.iterations.push_back(rec);
+  };
 
   std::uint64_t active_vertices = 0;
   std::uint64_t active_edges = 0;
-  bool have_frontier = false;
-  // A push-only schedule is correct only once every vertex has examined
-  // all of its edges at least once (otherwise a component the zero label
-  // never reaches would keep its distinct v+1 labels).  The first sparse
-  // iteration therefore runs as a full Pull-Frontier pass even when the
-  // density alone would already pick push.
-  bool full_pull_done = false;
   int iteration = 0;
 
   if (variant.initial_push) {
-    // --- Initial Push (Lines 11-12): one push traversal of the zero
-    // label from the hub to its neighbours — the only edges processed in
-    // iteration 0.
+    // --- Initial Push: the zero label travels from the hub to its
+    // neighbours only.
     IterationRecord rec;
     rec.index = 0;
     rec.direction = Direction::kInitialPush;
@@ -176,48 +155,11 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
         frontier::frontier_density(seeds.size(), seed_degree_sum, m);
     const auto counters_before = counters.total();
     support::Timer iteration_timer;
-
-    for (std::size_t seed_index = 0; seed_index < seeds.size();
-         ++seed_index) {
-      const auto seed_label = static_cast<Label>(seed_index);
-      const auto seed_neighbors = g.neighbors(seeds[seed_index]);
-#pragma omp parallel
-      {
-        const int t = omp_get_thread_num();
-#pragma omp for schedule(static) nowait
-        for (std::size_t i = 0; i < seed_neighbors.size(); ++i) {
-          if (i + support::kPrefetchDistance < seed_neighbors.size()) {
-            support::prefetch_write(
-                &labels[seed_neighbors[i + support::kPrefetchDistance]]);
-          }
-          const VertexId u = seed_neighbors[i];
-          counters.edge();
-          counters.cas_attempt();
-          if (atomic_min(labels[u], seed_label)) {
-            counters.cas_success();
-            counters.label_write();
-            if (next.push(t, u, g.degree(u))) counters.frontier_push();
-          }
-        }
-      }
-    }
-    const frontier::LocalWorklists::Mass mass = next.mass();
+    const auto mass = kernels.initial_push(seeds);
     active_vertices = mass.vertices;
     active_edges = mass.edges;
     rec.label_changes = mass.vertices;
-    rec.time_ms = iteration_timer.elapsed_ms();
-    if constexpr (Counters::kEnabled) {
-      rec.edges_processed =
-          detail::edges_delta(counters_before, counters.total());
-      if (!final_labels.empty()) {
-        rec.converged_vertices =
-            detail::count_converged(result.label_span(), final_labels);
-      }
-    }
-    result.stats.iterations.push_back(rec);
-    current.clear();
-    current.swap(next);
-    have_frontier = true;
+    finish_record(rec, counters_before, iteration_timer);
     iteration = 1;
   } else {
     // Ablation: DO-LP-style eager bootstrap — everything active.
@@ -234,149 +176,25 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
     const auto counters_before = counters.total();
     support::Timer iteration_timer;
 
+    // Sparse frontiers push once a full pull has run; otherwise pull,
+    // materialising the detailed frontier (Pull-Frontier, §IV-E) just
+    // before the switch to push.
     const bool sparse =
         frontier::is_sparse(rec.density, options.density_threshold);
-    std::uint64_t changes = 0;
-    std::uint64_t changed_edges = 0;
-
-    if (sparse && have_frontier && full_pull_done) {
-      // --- Push traversal over the detailed frontier, consumed with the
-      // paper's per-thread worklists + work stealing.  Hub adjacency
-      // lists are split into edge-parallel chunks; all other vertices
-      // take the one-thread-per-vertex fast path.
+    typename LpKernels<Counters, kZeroConv>::Mass changed;
+    if (sparse && kernels.push_ready()) {
       rec.direction = Direction::kPush;
-      const auto push_label_along =
-          [&](int t, Label lv, std::span<const VertexId> nbrs) {
-            for (std::size_t i = 0; i < nbrs.size(); ++i) {
-              if (i + support::kPrefetchDistance < nbrs.size()) {
-                support::prefetch_write(
-                    &labels[nbrs[i + support::kPrefetchDistance]]);
-              }
-              const VertexId u = nbrs[i];
-              counters.edge();
-              counters.cas_attempt();
-              if (atomic_min(labels[u], lv)) {
-                counters.cas_success();
-                counters.label_write();
-                if (next.push(t, u, g.degree(u))) {
-                  counters.frontier_push();
-                }
-              }
-            }
-          };
-      current.process_with_stealing_split(
-          hub_threshold, degree_of,
-          [&](int t, VertexId v) {
-            counters.label_read();
-            push_label_along(t, load_label(labels[v]), g.neighbors(v));
-          },
-          [&](int t, VertexId v, EdgeOffset begin, EdgeOffset end) {
-            counters.label_read();
-            push_label_along(
-                t, load_label(labels[v]),
-                g.neighbors(v).subspan(begin, end - begin));
-          });
-      const frontier::LocalWorklists::Mass mass = next.mass();
-      changes = mass.vertices;
-      changed_edges = mass.edges;
-      current.clear();
-      current.swap(next);
-      have_frontier = true;
+      changed = kernels.push();
     } else {
-      // --- Pull traversal (Lines 19-34) with Zero Convergence, run over
-      // the edge-balanced partitions with the paper's work-stealing
-      // schedule (§V-A).  Dense pulls use a count-only frontier (§IV-E);
-      // the Pull-Frontier variant additionally materialises the detailed
-      // frontier just before switching to push.
-      const bool build_frontier = sparse;
-      rec.direction = build_frontier ? Direction::kPullFrontier
-                                     : Direction::kPull;
-      std::atomic<std::uint64_t> changes_atomic{0};
-      std::atomic<std::uint64_t> changed_edges_atomic{0};
-      scheduler.for_each_partition(
-          [&](int t, const partition::VertexRange& range) {
-            std::uint64_t local_changes = 0;
-            std::uint64_t local_edges = 0;
-            for (VertexId v = range.begin; v < range.end; ++v) {
-              counters.label_read();
-              const Label lv = load_label(labels[v]);
-              if (kZeroConv && lv == 0) {  // Zero Convergence
-                counters.skipped_converged_vertex();
-                continue;
-              }
-              Label new_label = lv;
-              const auto nbrs = g.neighbors(v);
-              if constexpr (!Counters::kEnabled) {
-                // Vectorized gather–min scan (lane-wise min over the
-                // neighbour labels, zero-convergence early exit per
-                // chunk).  Bit-identical to the counted loop below.
-                new_label = support::simd::min_gather_u32(
-                    labels.data(), nbrs.data(), nbrs.size(), lv,
-                    kZeroConv, simd_level);
-              } else {
-                // Instrumented runs keep the scalar loop: the per-edge
-                // event counters observe every neighbour access.
-                for (std::size_t i = 0; i < nbrs.size(); ++i) {
-                  if (i + support::kPrefetchDistance < nbrs.size()) {
-                    support::prefetch_read(
-                        &labels[nbrs[i + support::kPrefetchDistance]]);
-                  }
-                  const VertexId u = nbrs[i];
-                  counters.edge();
-                  counters.label_read();
-                  const Label lu = load_label(labels[u]);
-                  if (lu < new_label) {
-                    new_label = lu;
-                    if (kZeroConv && new_label == 0) {  // stop the scan
-                      counters.early_exit();
-                      break;
-                    }
-                  }
-                }
-              }
-              if (new_label < lv) {
-                counters.label_write();
-                store_label(labels[v], new_label);
-                ++local_changes;
-                local_edges += g.degree(v);
-                if (build_frontier) {
-                  if (next.push(t, v, g.degree(v))) {
-                    counters.frontier_push();
-                  }
-                }
-              }
-            }
-            changes_atomic.fetch_add(local_changes,
-                                     std::memory_order_relaxed);
-            changed_edges_atomic.fetch_add(local_edges,
-                                           std::memory_order_relaxed);
-          });
-      changes = changes_atomic.load();
-      changed_edges = changed_edges_atomic.load();
-      current.clear();
-      if (build_frontier) {
-        current.swap(next);
-        have_frontier = true;
-      } else {
-        have_frontier = false;
-      }
-      full_pull_done = true;
+      rec.direction = sparse ? Direction::kPullFrontier : Direction::kPull;
+      changed = kernels.pull(/*build_frontier=*/sparse);
     }
 
-    rec.label_changes = changes;
-    rec.time_ms = iteration_timer.elapsed_ms();
-    if constexpr (Counters::kEnabled) {
-      rec.edges_processed =
-          detail::edges_delta(counters_before, counters.total());
-      if (!final_labels.empty()) {
-        rec.converged_vertices =
-            detail::count_converged(result.label_span(), final_labels);
-      }
-    }
-    result.stats.iterations.push_back(rec);
+    rec.label_changes = changed.vertices;
+    finish_record(rec, counters_before, iteration_timer);
 
-    active_vertices = changes;
-    active_edges = changed_edges;
+    active_vertices = changed.vertices;
+    active_edges = changed.edges;
     ++iteration;
   }
 

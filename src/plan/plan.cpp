@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "support/random.hpp"
-
 namespace thrifty::plan {
 
 const char* to_string(StepKind kind) {
@@ -33,55 +31,11 @@ std::optional<StepKind> parse_step_kind(std::string_view text) {
   return std::nullopt;
 }
 
-GraphProfile GraphProfile::sample(const graph::CsrGraph& graph,
-                                  std::uint64_t seed,
-                                  std::uint32_t samples) {
-  GraphProfile profile;
-  profile.num_vertices = graph.num_vertices();
-  profile.num_directed_edges = graph.num_directed_edges();
-  if (profile.num_vertices == 0) return profile;
-  profile.average_degree =
-      static_cast<double>(profile.num_directed_edges) /
-      static_cast<double>(profile.num_vertices);
-  // With few enough vertices, scan exactly instead of sampling.
-  if (profile.num_vertices <= samples) {
-    for (graph::VertexId v = 0; v < profile.num_vertices; ++v) {
-      profile.max_sampled_degree =
-          std::max(profile.max_sampled_degree, graph.degree(v));
-    }
-  } else {
-    support::Xoshiro256StarStar rng(seed);
-    for (std::uint32_t i = 0; i < samples; ++i) {
-      const auto v = static_cast<graph::VertexId>(
-          rng.next_below(profile.num_vertices));
-      profile.max_sampled_degree =
-          std::max(profile.max_sampled_degree, graph.degree(v));
-    }
-    // A vertex sample almost surely misses a *single* dominant hub —
-    // the defining shape this profile exists to detect — so anchor the
-    // estimate with the exact maximum-degree sweep the paper already
-    // prescribes (Algorithm 2, Lines 5-8; an O(n) parallel scan).
-    if (profile.num_directed_edges > 0) {
-      profile.max_sampled_degree =
-          std::max(profile.max_sampled_degree,
-                   graph.degree(graph.max_degree_vertex()));
-    }
-  }
-  profile.skew = static_cast<double>(profile.max_sampled_degree) /
-                 std::max(profile.average_degree, 1.0);
-  return profile;
-}
-
-AdaptivePlanner::AdaptivePlanner(const GraphProfile& profile,
-                                 const PlanOptions& options)
-    : profile_(profile), options_(options) {
-  hub_split_ = profile.skew >= options.hub_split_skew;
-}
+AdaptivePlanner::AdaptivePlanner(const PlanOptions& options)
+    : options_(options) {}
 
 PlanStep AdaptivePlanner::next(const Observation& observation) {
   PlanStep step;
-  step.hub_split = hub_split_;
-  step.simd = options_.simd;
 
   // Sampling-then-finish: once the sampled giant component covers the
   // cutover fraction, one union-find pass over the remaining edges beats
@@ -97,36 +51,18 @@ PlanStep AdaptivePlanner::next(const Observation& observation) {
   }
 
   // Direction optimisation on the Thrifty density rule: sparse frontiers
-  // push, dense ones pull.  The first iteration has no trajectory yet —
-  // a full pull that also materialises the frontier bootstraps both the
-  // labels and the density signal.
-  if (observation.iteration == 0) {
-    step.kind = StepKind::kPullFrontier;
-    return step;
-  }
+  // push, dense ones pull.  A push the frontier cannot carry yet runs as
+  // the frontier-building pull that makes the next push legal.
   if (frontier::is_sparse(observation.density, options_.density_threshold)) {
     step.kind = observation.have_frontier ? StepKind::kPush
                                           : StepKind::kPullFrontier;
   } else {
+    // Dense phase: plain pulls are cheapest, but keep the frontier
+    // materialised while the trajectory is near the switch point so a
+    // push is executable the moment the frontier thins out.
     const bool mid_density =
         observation.density < 4.0 * options_.density_threshold;
-    // Mid-density + moderate skew: the frontier still carries real mass
-    // but no single hub dominates, so per-partition work is balanced
-    // and the remaining propagation drains faster barrier-free than
-    // through further synchronous sweeps (each of which pays a global
-    // barrier per label hop).  Hub-dominated profiles keep the
-    // synchronous path: their tail partitions are exactly the ones the
-    // hub split was built to break up.  A skew below 1 only occurs in
-    // degenerate or synthetic profiles, where the signal says nothing.
-    if (mid_density && profile_.skew >= 1.0 &&
-        profile_.skew < options_.hub_split_skew) {
-      step.kind = StepKind::kAsync;
-    } else {
-      // Dense phase: plain pulls are cheapest, but keep the frontier
-      // materialised while the trajectory is near the switch point so a
-      // push is executable the moment the frontier thins out.
-      step.kind = mid_density ? StepKind::kPullFrontier : StepKind::kPull;
-    }
+    step.kind = mid_density ? StepKind::kPullFrontier : StepKind::kPull;
   }
   return step;
 }
@@ -143,6 +79,12 @@ PlanStep FixedPlanner::next(const Observation&) {
   if (cursor_ + 1 < steps_.size()) ++cursor_;
   return step;
 }
+
+namespace {
+
+constexpr std::size_t kMaxFixedSteps = std::size_t{1} << 20;
+
+}  // namespace
 
 PlanSpec parse_plan_spec(const std::string& text) {
   PlanSpec spec;
@@ -195,20 +137,19 @@ PlanSpec parse_plan_spec(const std::string& text) {
                                  "' has a bad repeat count '" + count + "'");
       }
       repeat = static_cast<std::uint64_t>(parsed);
-      // A plan is consumed one step per iteration; anything beyond the
-      // vertex count can never execute, so cap expansion to stay O(n).
-      repeat = std::min<std::uint64_t>(repeat, 1u << 20);
     }
     const auto kind = parse_step_kind(item);
     if (!kind) {
       throw std::runtime_error("plan spec '" + text +
                                "' has unknown step kind '" + item + "'");
     }
-    for (std::uint64_t i = 0; i < repeat; ++i) {
-      PlanStep step;
-      step.kind = *kind;
-      spec.fixed_steps.push_back(step);
-    }
+    // A plan is consumed one step per iteration, so nothing past 2^20
+    // steps can ever execute: cap the whole expansion, not each item, so
+    // a long list of huge repeats stays small in memory too.
+    repeat = std::min<std::uint64_t>(repeat,
+                                     kMaxFixedSteps - spec.fixed_steps.size());
+    spec.fixed_steps.insert(spec.fixed_steps.end(), repeat,
+                            PlanStep{*kind});
   }
   return spec;
 }

@@ -1,28 +1,27 @@
 // Adaptive execution planning for the connected-components solvers.
 //
-// The single-shot pipeline has several interchangeable strategies (pull
-// sweeps, frontier push, hub splitting, SIMD pull kernels, union-find
-// finishing) that were historically selected by static knobs.  Following
-// Sutton et al.'s adaptive CC engine and ConnectIt's sampling-then-finish
-// decomposition, this subsystem turns the choice into a *per-iteration*
-// decision: a Planner observes the graph's structure (degree skew,
-// density) once and the frontier trajectory every iteration, and emits a
-// PlanStep for the executor (plan/solve.hpp) to run next.
+// Following Sutton et al.'s adaptive CC engine and ConnectIt's
+// sampling-then-finish decomposition, this subsystem makes the choice of
+// label-propagation kernel a *per-iteration* decision: a Planner sees
+// the frontier trajectory every iteration and emits a PlanStep for the
+// executor (plan/solve.hpp) to run next on Thrifty's single label array
+// (core/lp_kernels.hpp).
 //
 // Three planner families share one interface:
-//   * AdaptivePlanner — the runtime brain: density-threshold direction
-//     switching, profile-driven hub splitting, and a sampled
-//     giant-component cutover to the union-find finish;
+//   * AdaptivePlanner — the runtime brain: Thrifty's density-threshold
+//     direction switching and a sampled giant-component cutover to the
+//     union-find finish;
 //   * FixedPlanner   — a scripted strategy sequence parsed from a
 //     "fixed:<spec>" string (the adversarial plans of the crosscheck
 //     matrix), its last step repeated forever;
-//   * TracePlanner   — byte-exact replay of a recorded PlanTrace
+//   * TracePlanner   — replay of the step kinds of a recorded PlanTrace
 //     (plan/trace.hpp).
 //
 // Planners only *advise*: the executor sanitizes every step against its
-// correctness invariants (a push needs a materialised frontier;
-// convergence is only declared at a fixed point), so a mispredicted or
-// adversarial plan degrades performance, never the partition.
+// correctness invariants (a push needs a materialised frontier and one
+// full pull behind it; convergence is only declared at a fixed point),
+// so a mispredicted or adversarial plan degrades performance, never the
+// partition.
 #pragma once
 
 #include <cstdint>
@@ -34,22 +33,21 @@
 
 #include "frontier/density.hpp"
 #include "graph/csr_graph.hpp"
-#include "support/simd.hpp"
 
 namespace thrifty::plan {
 
 /// What the executor runs for one iteration.
 enum class StepKind {
-  /// Full Jacobi pull sweep (gather-min over every vertex).
+  /// Full in-place pull sweep (gather-min over every vertex).
   kPull,
   /// Pull sweep that additionally materialises the changed-vertex
   /// frontier, enabling push iterations afterwards.
   kPullFrontier,
-  /// Frontier push: propagate each frontier vertex's captured label to
+  /// Frontier push: propagate each frontier vertex's current label to
   /// its neighbours with atomic-min.
   kPush,
-  /// Union-find finish: hook every edge into a forest seeded from the
-  /// current labels, compress, done (terminal, exact).
+  /// Union-find finish: hook every edge into the forest the current
+  /// labels already form, compress, done (terminal, exact).
   kFinish,
   /// Barrier-free async drain (core/async_cc.hpp): edge-balanced
   /// partitions propagate through the shared label array with CAS-min
@@ -63,27 +61,19 @@ enum class StepKind {
 /// otherwise.
 [[nodiscard]] std::optional<StepKind> parse_step_kind(std::string_view text);
 
-/// One iteration's full prescription.
+/// One iteration's prescription.
 struct PlanStep {
   StepKind kind = StepKind::kPull;
-  /// Push iterations: traverse over-threshold ("hub") adjacency lists
-  /// edge-parallel instead of one-thread-per-vertex.
-  bool hub_split = true;
-  /// Pull iterations: kernel instruction-set ceiling for the gather-min
-  /// sweep (resolved against host support by the executor).
-  support::SimdLevel simd = support::SimdLevel::kAuto;
 
   friend bool operator==(const PlanStep&, const PlanStep&) = default;
 };
 
-/// What a planner can see when deciding iteration `iteration`.  All
-/// fields are deterministic functions of (graph, options, previous plan
-/// steps) — the executor's Jacobi/captured-label discipline keeps them
-/// independent of thread count and schedule.
+/// What a planner can see when deciding the next iteration.  The
+/// kernels sweep one label array in place, so the counts depend on the
+/// thread schedule; only the final partition is schedule-independent.
 struct Observation {
-  int iteration = 0;
-  /// Vertices whose label changed in the previous iteration (every
-  /// vertex before the first).
+  /// Vertices whose label changed in the previous iteration (the
+  /// Initial Push's frontier before the first).
   std::uint64_t active_vertices = 0;
   /// Combined degree of those vertices.
   std::uint64_t active_edges = 0;
@@ -93,27 +83,9 @@ struct Observation {
   /// label — the ConnectIt giant-component estimate.  Negative when the
   /// executor did not sample this iteration.
   double giant_fraction = -1.0;
-  /// Whether a materialised frontier from the previous iteration exists
-  /// (a push step is only executable when it does).
+  /// Whether a push step is executable: a materialised frontier exists
+  /// and one full pull has run.
   bool have_frontier = false;
-};
-
-/// Structure profile sampled once at solve start (seeded, O(samples)).
-struct GraphProfile {
-  graph::VertexId num_vertices = 0;
-  graph::EdgeOffset num_directed_edges = 0;
-  double average_degree = 0.0;
-  /// Largest degree seen: the vertex sample, anchored by the exact
-  /// maximum-degree scan (a sample alone almost surely misses a single
-  /// dominant hub).
-  graph::EdgeOffset max_sampled_degree = 0;
-  /// max_sampled_degree / max(average_degree, 1) — the skew signal that
-  /// decides hub splitting.
-  double skew = 0.0;
-
-  [[nodiscard]] static GraphProfile sample(const graph::CsrGraph& graph,
-                                           std::uint64_t seed,
-                                           std::uint32_t samples = 1024);
 };
 
 /// Knobs of the adaptive planner.
@@ -123,16 +95,12 @@ struct PlanOptions {
   /// Sampled giant coverage that triggers the union-find finish;
   /// values outside (0, 1] disable the cutover.  The cutover needs at
   /// least one completed sweep first — the giant estimate is
-  /// meaningless on identity-initialised labels.
+  /// meaningless on freshly planted labels.
   double finish_cutover = 0.75;
-  /// Sampled degree skew above which push iterations split hubs.
-  double hub_split_skew = 8.0;
-  /// Vertices sampled for the profile and the giant estimate.
+  /// Vertices sampled for the giant estimate.
   std::uint32_t sample_size = 1024;
-  /// Seed for both sampling streams.
+  /// Seed for the sampling stream.
   std::uint64_t seed = 1;
-  /// Kernel ceiling stamped into every emitted step.
-  support::SimdLevel simd = support::SimdLevel::kAuto;
 };
 
 /// The decision interface.  next() is called once per iteration while
@@ -144,22 +112,15 @@ class Planner {
   [[nodiscard]] virtual PlanStep next(const Observation& observation) = 0;
 };
 
-/// The runtime brain: density-threshold direction switching, skew-driven
-/// hub splitting, a mid-density barrier-free async drain on
-/// moderate-skew profiles, sampled giant-component cutover to the
-/// finish.
+/// The runtime brain: Thrifty's density-threshold direction switching
+/// and a sampled giant-component cutover to the finish.
 class AdaptivePlanner : public Planner {
  public:
-  AdaptivePlanner(const GraphProfile& profile, const PlanOptions& options);
+  explicit AdaptivePlanner(const PlanOptions& options);
   [[nodiscard]] PlanStep next(const Observation& observation) override;
 
-  /// Whether push steps this planner emits split hubs (profile-driven).
-  [[nodiscard]] bool hub_split() const { return hub_split_; }
-
  private:
-  GraphProfile profile_;
   PlanOptions options_;
-  bool hub_split_ = true;
 };
 
 /// Scripted sequence; the last step repeats forever, so every fixed plan
@@ -197,8 +158,9 @@ struct PlanSpec {
 
 /// Parses a plan spec.  Empty input means "auto" (an unset knob).
 /// Throws std::runtime_error with a usable message on malformed input
-/// (unknown kind, zero/negative repeat, unrecognised prefix); repeat
-/// counts are capped at 2^20 steps, far beyond what any solve consumes.
+/// (unknown kind, zero/negative repeat, unrecognised prefix).  The
+/// expanded sequence is capped at 2^20 steps in total, far beyond what
+/// any solve consumes.
 [[nodiscard]] PlanSpec parse_plan_spec(const std::string& text);
 
 }  // namespace thrifty::plan

@@ -1,19 +1,14 @@
 #include "plan/solve.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "cc_baselines/concurrent_hook.hpp"
 #include "core/async_cc.hpp"
-#include "frontier/bitmap.hpp"
-#include "frontier/hub_chunks.hpp"
-#include "support/parallel.hpp"
+#include "core/lp_kernels.hpp"
+#include "instrument/counters.hpp"
 #include "support/random.hpp"
 #include "support/run_config.hpp"
 #include "support/timer.hpp"
@@ -27,21 +22,10 @@ using graph::EdgeOffset;
 using graph::Label;
 using graph::VertexId;
 
-// Independent seed streams derived from CcOptions::seed.
-constexpr std::uint64_t kProfileSalt = 0x9a11ull;
-constexpr std::uint64_t kGiantSalt = 0x61a7ull;
+using Kernels = core::LpKernels<instrument::NullCounters, /*kZeroConv=*/true>;
 
-/// Resolves a step's requested kernel ceiling against host support.
-/// kAuto defers to the configured effective level; an explicit level is
-/// clamped to what the host can run (the concrete enum values are
-/// ordered).  Bit-identity of the kernels means this never affects the
-/// result bytes, only throughput.
-support::SimdLevel resolve_simd(support::SimdLevel requested) {
-  if (requested == support::SimdLevel::kAuto) {
-    return support::simd::effective_level();
-  }
-  return std::min(requested, support::simd::max_supported());
-}
+// Seed stream for the giant estimate, derived from CcOptions::seed.
+constexpr std::uint64_t kGiantSalt = 0x61a7ull;
 
 /// Fraction of a seeded vertex sample covered by its most frequent
 /// label — the ConnectIt giant-component estimate, as a fraction rather
@@ -60,10 +44,10 @@ double sampled_giant_fraction(const core::LabelArray& labels, VertexId n,
   return static_cast<double>(best) / static_cast<double>(samples);
 }
 
-/// Replays a recorded trace's *executed* steps verbatim; once the trace
-/// is exhausted (replay against a different graph, or a hand-truncated
-/// file) it degrades to plain pull sweeps, which converge from any
-/// state.
+/// Replays the step kinds a recorded trace *executed*; once the trace
+/// is exhausted (a replay whose schedule needs more sweeps, replay
+/// against a different graph, or a hand-truncated file) it degrades to
+/// plain pull sweeps, which converge from any state.
 class TracePlanner : public Planner {
  public:
   explicit TracePlanner(const PlanTrace& trace) {
@@ -81,375 +65,169 @@ class TracePlanner : public Planner {
   std::size_t cursor_ = 0;
 };
 
-/// Per-solve state.  One instance per solve_with_plan call; all methods
-/// run on the calling thread and open their own parallel regions.
-class Executor {
- public:
-  Executor(const CsrGraph& graph, const core::CcOptions& options,
-           const PlanSpec& spec, double finish_cutover)
-      : graph_(graph),
-        n_(graph.num_vertices()),
-        m_(graph.num_directed_edges()),
-        options_(options),
-        spec_(spec),
-        finish_cutover_(finish_cutover) {}
+instrument::Direction direction_of(StepKind kind) {
+  switch (kind) {
+    case StepKind::kPull:
+      return instrument::Direction::kPull;
+    case StepKind::kPullFrontier:
+      return instrument::Direction::kPullFrontier;
+    case StepKind::kPush:
+      return instrument::Direction::kPush;
+    case StepKind::kFinish:
+      return instrument::Direction::kHook;
+    case StepKind::kAsync:
+      return instrument::Direction::kAsync;
+  }
+  return instrument::Direction::kPull;
+}
 
-  PlanResult run() {
-    const support::Timer timer;
-    PlanResult out;
-    out.trace.planner = spec_.text;
-    out.trace.seed = options_.seed;
-    out.trace.num_vertices = n_;
-    out.trace.num_directed_edges = m_;
-    out.result.stats.algorithm = "adaptive";
-    if (n_ == 0) {
-      out.result.stats.total_ms = timer.elapsed_ms();
-      return out;
+std::unique_ptr<Planner> make_planner(const PlanSpec& spec,
+                                      const core::CcOptions& options,
+                                      double finish_cutover) {
+  switch (spec.mode) {
+    case PlanSpec::Mode::kAuto: {
+      PlanOptions popts;
+      popts.density_threshold = options.density_threshold;
+      popts.finish_cutover = finish_cutover;
+      popts.sample_size = options.component_sample_size;
+      popts.seed = options.seed;
+      return std::make_unique<AdaptivePlanner>(popts);
     }
+    case PlanSpec::Mode::kFixed:
+      return std::make_unique<FixedPlanner>(spec.fixed_steps);
+    case PlanSpec::Mode::kReplay:
+      return std::make_unique<TracePlanner>(
+          read_trace_file(spec.replay_path));
+  }
+  throw std::logic_error("unreachable plan mode");
+}
 
-    labels_ = core::make_label_array(n_);
-    scratch_ = core::make_label_array(n_);
-    changed_.assign(n_, 0);
-    support::parallel_for<VertexId>(n_, [&](VertexId v) { labels_[v] = v; });
-
-    std::unique_ptr<Planner> planner = make_planner();
-
-    Observation obs;
-    obs.active_vertices = n_;
-    obs.active_edges = m_;
-    obs.density = frontier::frontier_density(n_, m_, m_);
-
-    bool converged = false;
-    // Label values only travel one hop per iteration, so any plan needs
-    // at most diameter + O(1) iterations; exceeding n_ means the
-    // convergence protocol is broken and we fail loudly over spinning.
-    const std::uint64_t max_iterations = static_cast<std::uint64_t>(n_) + 8;
-    for (std::uint64_t iter = 0; !converged; ++iter) {
-      if (iter >= max_iterations) {
-        throw std::logic_error(
-            "plan executor exceeded the iteration bound without "
-            "converging (broken convergence protocol?)");
-      }
-      obs.iteration = static_cast<int>(iter);
-      obs.have_frontier = have_frontier_;
-      obs.giant_fraction =
-          (sample_giant_ && iter > 0)
-              ? sampled_giant_fraction(
-                    labels_, n_, options_.component_sample_size,
-                    support::hash_mix(options_.seed,
-                                      kGiantSalt + iter))
-              : -1.0;
-
-      const PlanStep requested = planner->next(obs);
-      PlanStep step = requested;
-      // Sanitize: a push without a materialised frontier is not
-      // executable — run the frontier-building pull that makes the next
-      // push legal instead.  This also (re)establishes the invariant
-      // behind empty-frontier convergence: after a full sweep, every
-      // label still able to propagate sits in the frontier.
-      if (step.kind == StepKind::kPush && !have_frontier_) {
-        step.kind = StepKind::kPullFrontier;
-      }
-
-      std::uint64_t changes = 0;
-      std::uint64_t publishes = 0;
-      switch (step.kind) {
-        case StepKind::kPull:
-          changes = jacobi_pull(step, /*materialise_frontier=*/false);
-          converged = changes == 0;
-          break;
-        case StepKind::kPullFrontier:
-          changes = jacobi_pull(step, /*materialise_frontier=*/true);
-          converged = changes == 0;
-          break;
-        case StepKind::kPush:
-          changes = push(step);
-          // Empty next frontier == fixed point: every vertex able to
-          // lower a neighbour was in the frontier with its final label.
-          converged = changes == 0;
-          break;
-        case StepKind::kFinish:
-          finish();
-          converged = true;
-          break;
-        case StepKind::kAsync:
-          changes = async_drain(publishes);
-          converged = true;
-          break;
-      }
-
-      TraceStep record;
-      record.step = step;
-      record.requested = requested.kind;
-      record.active_vertices = active_vertices_;
-      record.active_edges = active_edges_;
-      record.label_changes = changes;
-      record.publishes = publishes;
-      record.density =
-          frontier::frontier_density(active_vertices_, active_edges_, m_);
-      record.giant_fraction = obs.giant_fraction;
-      out.trace.steps.push_back(record);
-
-      instrument::IterationRecord iteration;
-      iteration.index = static_cast<int>(iter);
-      iteration.direction = direction_of(step.kind);
-      iteration.density = obs.density;
-      iteration.active_vertices = obs.active_vertices;
-      iteration.label_changes = changes;
-      out.result.stats.iterations.push_back(iteration);
-
-      obs.active_vertices = active_vertices_;
-      obs.active_edges = active_edges_;
-      obs.density = record.density;
-    }
-    out.result.stats.num_iterations =
-        static_cast<int>(out.trace.steps.size());
-    out.result.labels = std::move(labels_);
+PlanResult run(const CsrGraph& graph, const core::CcOptions& options,
+               const PlanSpec& spec, double finish_cutover) {
+  const support::Timer timer;
+  const VertexId n = graph.num_vertices();
+  const EdgeOffset m = graph.num_directed_edges();
+  PlanResult out;
+  out.trace.planner = spec.text;
+  out.trace.seed = options.seed;
+  out.trace.num_vertices = n;
+  out.trace.num_directed_edges = m;
+  out.result.stats.algorithm = "adaptive";
+  if (n == 0) {
     out.result.stats.total_ms = timer.elapsed_ms();
     return out;
   }
 
- private:
-  std::unique_ptr<Planner> make_planner() {
-    switch (spec_.mode) {
-      case PlanSpec::Mode::kAuto: {
-        PlanOptions popts;
-        popts.density_threshold = options_.density_threshold;
-        popts.finish_cutover = finish_cutover_;
-        popts.sample_size = options_.component_sample_size;
-        popts.seed = options_.seed;
-        popts.simd = support::run_config().simd;
-        const GraphProfile profile = GraphProfile::sample(
-            graph_, support::hash_mix(options_.seed, kProfileSalt),
-            popts.sample_size);
-        sample_giant_ =
-            popts.finish_cutover > 0.0 && popts.finish_cutover <= 1.0;
-        return std::make_unique<AdaptivePlanner>(profile, popts);
-      }
-      case PlanSpec::Mode::kFixed:
-        return std::make_unique<FixedPlanner>(spec_.fixed_steps);
-      case PlanSpec::Mode::kReplay:
-        return std::make_unique<TracePlanner>(
-            read_trace_file(spec_.replay_path));
-    }
-    throw std::logic_error("unreachable plan mode");
-  }
+  std::unique_ptr<Planner> planner =
+      make_planner(spec, options, finish_cutover);
+  const bool sample_giant = finish_cutover > 0.0 && finish_cutover <= 1.0;
 
-  static instrument::Direction direction_of(StepKind kind) {
-    switch (kind) {
+  core::LabelArray& labels = out.result.labels;
+  labels = core::make_label_array(n);
+  instrument::NullCounters counters;
+  Kernels kernels(graph, labels, options.partitions_per_thread, counters);
+
+  // Thrifty's start: Zero Planting on the maximum-degree vertex, then
+  // Initial Push of its label to its neighbours.
+  const VertexId hub = graph.max_degree_vertex();
+  kernels.plant({&hub, 1});
+  Kernels::Mass active = kernels.initial_push({&hub, 1});
+  instrument::IterationRecord initial;
+  initial.direction = instrument::Direction::kInitialPush;
+  initial.active_vertices = 1;
+  initial.density = frontier::frontier_density(1, graph.degree(hub), m);
+  initial.label_changes = active.vertices;
+  out.result.stats.iterations.push_back(initial);
+
+  Observation obs;
+  obs.active_vertices = active.vertices;
+  obs.active_edges = active.edges;
+  obs.density = frontier::frontier_density(active.vertices, active.edges, m);
+
+  bool converged = false;
+  // Every sweep moves each component's smallest label at least one hop,
+  // so any plan needs at most diameter + O(1) steps; exceeding n means
+  // the convergence protocol is broken and we fail loudly over spinning.
+  const std::uint64_t max_steps = static_cast<std::uint64_t>(n) + 8;
+  for (std::uint64_t iter = 0; !converged; ++iter) {
+    if (iter >= max_steps) {
+      throw std::logic_error(
+          "plan executor exceeded the iteration bound without "
+          "converging (broken convergence protocol?)");
+    }
+    obs.have_frontier = kernels.push_ready();
+    obs.giant_fraction =
+        (sample_giant && iter > 0)
+            ? sampled_giant_fraction(
+                  labels, n, options.component_sample_size,
+                  support::hash_mix(options.seed, kGiantSalt + iter))
+            : -1.0;
+
+    const PlanStep requested = planner->next(obs);
+    PlanStep step = requested;
+    // Sanitize: a push is correct only over a materialised frontier with
+    // a full pull behind it — run the frontier-building pull that makes
+    // the next push legal instead.
+    if (step.kind == StepKind::kPush && !kernels.push_ready()) {
+      step.kind = StepKind::kPullFrontier;
+    }
+
+    std::uint64_t publishes = 0;
+    switch (step.kind) {
       case StepKind::kPull:
-        return instrument::Direction::kPull;
       case StepKind::kPullFrontier:
-        return instrument::Direction::kPullFrontier;
+        active = kernels.pull(step.kind == StepKind::kPullFrontier);
+        converged = active.vertices == 0;
+        break;
       case StepKind::kPush:
-        return instrument::Direction::kPush;
+        // Empty next frontier == fixed point: every vertex able to lower
+        // a neighbour was in the frontier.
+        active = kernels.push();
+        converged = active.vertices == 0;
+        break;
       case StepKind::kFinish:
-        return instrument::Direction::kHook;
+        kernels.hook_finish();
+        active = {};
+        converged = true;
+        break;
       case StepKind::kAsync:
-        return instrument::Direction::kAsync;
-    }
-    return instrument::Direction::kPull;
-  }
-
-  /// Two-array sweep: scratch[v] = min(labels[v], min labels[N(v)]),
-  /// then swap.  Every entry of scratch is (re)written, so staleness
-  /// left by in-place push steps cannot leak.  Per-vertex change flags
-  /// land in changed_ (owner-written, race-free).
-  std::uint64_t jacobi_pull(const PlanStep& step, bool materialise_frontier) {
-    const support::SimdLevel level =
-        support::simd::gather_level(resolve_simd(step.simd), n_);
-    const Label* values = labels_.data();
-    support::parallel_for_dynamic<VertexId>(n_, [&](VertexId v) {
-      const auto nbrs = graph_.neighbors(v);
-      const Label before = values[v];
-      const Label after = support::simd::min_gather_u32(
-          values, nbrs.data(), nbrs.size(), before,
-          /*stop_at_zero=*/true, level);
-      scratch_[v] = after;
-      changed_[v] = after != before ? 1 : 0;
-    });
-    std::swap(labels_, scratch_);
-    const std::uint64_t changes = count_and_measure_changed();
-    if (materialise_frontier) {
-      pack_changed();
-      have_frontier_ = true;
-    } else {
-      have_frontier_ = false;
-    }
-    return changes;
-  }
-
-  /// Frontier push with captured labels.  The value set {(v, l_v)} is
-  /// fixed before the iteration starts, so the atomic-min outcome per
-  /// target vertex is min(old, min captured of pushing neighbours) —
-  /// commutative, hence schedule-independent — and the changed-vertex
-  /// set (deduped through the bitmap's true RMW) is exact.
-  std::uint64_t push(const PlanStep& step) {
-    const int threads = support::num_threads();
-    const EdgeOffset hub_threshold =
-        step.hub_split ? frontier::hub_split_threshold(m_, threads)
-                       : std::numeric_limits<EdgeOffset>::max();
-    frontier::Bitmap changed_bits(n_);
-
-    const auto push_range = [&](VertexId v, Label captured,
-                                EdgeOffset begin, EdgeOffset end) {
-      const auto nbrs = graph_.neighbors(v);
-      for (EdgeOffset k = begin; k < end; ++k) {
-        const VertexId u = nbrs[static_cast<std::size_t>(k)];
-        if (core::atomic_min(labels_[u], captured)) {
-          changed_bits.set_atomic(u);
-        }
-      }
-    };
-
-    // Vertex-parallel sweep over the sub-threshold frontier entries.
-    support::parallel_for_dynamic<std::size_t>(
-        frontier_vertices_.size(),
-        [&](std::size_t i) {
-          const VertexId v = frontier_vertices_[i];
-          const EdgeOffset degree = graph_.degree(v);
-          if (degree > hub_threshold) return;
-          push_range(v, frontier_labels_[i], 0, degree);
-        },
-        std::size_t{64});
-
-    // Hubs drain edge-parallel in shared chunks.  HubChunks stores
-    // frontier *indices* so the drain body can recover the captured
-    // label alongside the vertex.
-    frontier::HubChunks hubs(threads);
-    for (std::size_t i = 0; i < frontier_vertices_.size(); ++i) {
-      if (graph_.degree(frontier_vertices_[i]) > hub_threshold) {
-        hubs.collect(0, static_cast<VertexId>(i));
-      }
-    }
-    const auto degree_of = [&](VertexId i) {
-      return graph_.degree(frontier_vertices_[i]);
-    };
-    // finalize() flattens the collected stash into the chunk index;
-    // empty() only reports on the flattened view, so it must come after.
-    hubs.finalize(degree_of);
-    if (!hubs.empty()) {
-      support::parallel_for<int>(threads, [&](int thread) {
-        hubs.drain(thread, degree_of,
-                   [&](int, VertexId i, EdgeOffset begin, EdgeOffset end) {
-                     push_range(frontier_vertices_[i], frontier_labels_[i],
-                                begin, end);
-                   });
-      });
+        kernels.drop_frontier();
+        publishes =
+            core::async_propagate(graph, labels.data(), options).publishes;
+        active = {};
+        converged = true;
+        break;
     }
 
-    // Two-phase capture: the changed set is known now, but a vertex
-    // lowered twice this iteration must enter the next frontier with
-    // its *final* label, so labels are re-read after the barrier.
-    support::parallel_for<VertexId>(n_, [&](VertexId v) {
-      changed_[v] = changed_bits.get(v) ? 1 : 0;
-    });
-    const std::uint64_t changes = count_and_measure_changed();
-    pack_changed();
-    have_frontier_ = true;
-    return changes;
+    TraceStep record;
+    record.step = step;
+    record.requested = requested.kind;
+    record.active_vertices = active.vertices;
+    record.active_edges = active.edges;
+    record.label_changes = active.vertices;
+    record.publishes = publishes;
+    record.density =
+        frontier::frontier_density(active.vertices, active.edges, m);
+    record.giant_fraction = obs.giant_fraction;
+    out.trace.steps.push_back(record);
+
+    instrument::IterationRecord iteration;
+    iteration.index = static_cast<int>(iter) + 1;
+    iteration.direction = direction_of(step.kind);
+    iteration.density = obs.density;
+    iteration.active_vertices = obs.active_vertices;
+    iteration.label_changes = active.vertices;
+    out.result.stats.iterations.push_back(iteration);
+
+    obs.active_vertices = active.vertices;
+    obs.active_edges = active.edges;
+    obs.density = record.density;
   }
-
-  /// Barrier-free async drain to the global min fixed point (terminal,
-  /// like finish).  The interior is schedule-dependent — the observed
-  /// publish count lands in `publishes` for the trace — but the fixed
-  /// point is not, so the deterministic label_changes this returns is
-  /// the before/after diff against a snapshot, not anything counted
-  /// inside the drain.  scratch_ doubles as the snapshot: every other
-  /// step kind that touches it rewrites it in full.
-  std::uint64_t async_drain(std::uint64_t& publishes) {
-    core::copy_labels({labels_.data(), labels_.size()},
-                      {scratch_.data(), scratch_.size()});
-    const core::AsyncStats stats =
-        core::async_propagate(graph_, labels_.data(), options_);
-    publishes = stats.publishes;
-    support::parallel_for<VertexId>(n_, [&](VertexId v) {
-      changed_[v] = labels_[v] != scratch_[v] ? 1 : 0;
-    });
-    const std::uint64_t changes = count_and_measure_changed();
-    active_vertices_ = 0;
-    active_edges_ = 0;
-    have_frontier_ = false;
-    return changes;
-  }
-
-  /// Union-find finish.  The current labels are already a forest
-  /// (identity init + min propagation gives labels[v] <= v with every
-  /// chain strictly decreasing into a component-local fixed point), so
-  /// they seed comp directly; linking every edge and compressing lands
-  /// each vertex on its component minimum — the same bytes every other
-  /// converged plan produces.
-  void finish() {
-    support::parallel_for_dynamic<VertexId>(n_, [&](VertexId v) {
-      for (const VertexId u : graph_.neighbors(v)) {
-        if (u < v) baselines::hook::link(v, u, labels_);
-      }
-    });
-    baselines::hook::compress(labels_, n_);
-    active_vertices_ = 0;
-    active_edges_ = 0;
-    have_frontier_ = false;
-  }
-
-  std::uint64_t count_and_measure_changed() {
-    active_vertices_ = support::parallel_sum<VertexId>(
-        n_, [&](VertexId v) { return changed_[v]; });
-    active_edges_ = support::parallel_sum<VertexId>(n_, [&](VertexId v) {
-      return changed_[v] ? graph_.degree(v) : 0;
-    });
-    return active_vertices_;
-  }
-
-  /// Packs {v : changed_[v]} into frontier_vertices_/frontier_labels_
-  /// in ascending vertex order, capturing current labels.  Fixed-count
-  /// slice passes (count, scan, fill) driven by parallel_for over slice
-  /// *indices*, so the packed vector is identical at any thread count
-  /// and no slice is lost if the runtime grants fewer threads.
-  void pack_changed() {
-    const int slices = support::num_threads();
-    std::vector<std::uint64_t> offsets(static_cast<std::size_t>(slices) + 1,
-                                       0);
-    support::parallel_for<int>(slices, [&](int s) {
-      const auto [begin, end] = support::thread_slice(n_, s, slices);
-      std::uint64_t count = 0;
-      for (std::size_t v = begin; v < end; ++v) count += changed_[v];
-      offsets[static_cast<std::size_t>(s) + 1] = count;
-    });
-    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-    frontier_vertices_.resize(offsets.back());
-    frontier_labels_.resize(offsets.back());
-    support::parallel_for<int>(slices, [&](int s) {
-      const auto [begin, end] = support::thread_slice(n_, s, slices);
-      std::uint64_t pos = offsets[static_cast<std::size_t>(s)];
-      for (std::size_t v = begin; v < end; ++v) {
-        if (changed_[v]) {
-          frontier_vertices_[pos] = static_cast<VertexId>(v);
-          frontier_labels_[pos] = labels_[v];
-          ++pos;
-        }
-      }
-    });
-  }
-
-  const CsrGraph& graph_;
-  const VertexId n_;
-  const EdgeOffset m_;
-  const core::CcOptions& options_;
-  const PlanSpec& spec_;
-  const double finish_cutover_;
-
-  core::LabelArray labels_;
-  core::LabelArray scratch_;
-  /// Per-vertex changed flag for the last executed step (owner-written
-  /// in pulls, bitmap-derived in pushes).
-  std::vector<std::uint8_t> changed_;
-  support::UninitVector<VertexId> frontier_vertices_;
-  support::UninitVector<Label> frontier_labels_;
-  bool have_frontier_ = false;
-  bool sample_giant_ = false;
-  std::uint64_t active_vertices_ = 0;
-  std::uint64_t active_edges_ = 0;
-};
+  out.result.stats.num_iterations =
+      static_cast<int>(out.result.stats.iterations.size());
+  out.result.stats.total_ms = timer.elapsed_ms();
+  return out;
+}
 
 }  // namespace
 
@@ -459,8 +237,7 @@ PlanResult solve_with_plan(const CsrGraph& graph,
   const double cutover = spec.mode == PlanSpec::Mode::kAuto
                              ? support::run_config().plan_cutover
                              : 0.0;
-  Executor executor(graph, options, spec, cutover);
-  return executor.run();
+  return run(graph, options, spec, cutover);
 }
 
 core::CcResult solve_adaptive(const CsrGraph& graph,

@@ -1,30 +1,28 @@
-// Deterministic plan-driven connected-components executor.
+// Plan-driven connected-components executor.
 //
 // solve_with_plan runs label propagation one PlanStep at a time, asking
 // a Planner (plan/plan.hpp) what to do before every iteration and
-// recording each decision into a PlanTrace (plan/trace.hpp).  The
-// executor is built so that the *bytes* of the final label array depend
-// only on (graph, plan):
+// recording each decision into a PlanTrace (plan/trace.hpp).  Every step
+// runs on Thrifty's kernel layer (core/lp_kernels.hpp) over one in-place
+// label array, and the solve starts the way Thrifty does:
 //
-//   * labels start at identity, so the unique fixed point is the
-//     canonical min-id labelling — every plan that converges produces
-//     the same bytes;
-//   * pull sweeps are Jacobi (two-array): new[v] = min(old[v],
-//     min old[N(v)]) through the SIMD gather kernel, whose variants are
-//     bit-identical, so neither thread count nor instruction set leaks;
-//   * push sweeps propagate labels *captured at frontier build time*:
-//     atomic-min over a fixed value set is commutative, so the
-//     post-iteration labels and changed-vertex set are schedule-
-//     independent; the next frontier re-reads final labels after the
-//     barrier (two-phase capture) and is packed in ascending vertex
-//     order;
-//   * the union-find finish converges to the unique min-root forest.
+//   * Zero Planting on the maximum-degree vertex, then Initial Push of
+//     its label to its neighbours — a prologue, not a plan step;
+//   * pull / pullf are Thrifty's partition-scheduled in-place pulls
+//     with Zero Convergence, push is its worklist push with hub chunks;
+//   * finish hooks the label forest in label space (a planted label is
+//     not a vertex id), async drains core::async_propagate on the same
+//     array; both are terminal.
 //
-// Planners only advise.  The executor sanitizes each step (a push with
-// no materialised frontier runs as a frontier-building pull) and owns
-// convergence: a zero-change full sweep or an empty push frontier is a
-// fixed point regardless of what the plan wanted next.  An adversarial
-// plan therefore costs time, never correctness.
+// In-place sweeps are schedule-dependent, so traces guarantee the step
+// kinds that ran and the final partition, not label bytes.
+//
+// Planners only advise.  The executor sanitizes each step — a push runs
+// as a frontier-building pull until a frontier exists and one full pull
+// has run (Thrifty's full_pull_done rule) — and owns convergence: a
+// zero-change full sweep or an empty push frontier is a fixed point
+// regardless of what the plan wanted next.  An adversarial plan
+// therefore costs time, never correctness.
 #pragma once
 
 #include "core/cc_common.hpp"
@@ -39,10 +37,10 @@ struct PlanResult {
 };
 
 /// Runs CC under the given plan spec.  Replay specs load their trace
-/// from spec.replay_path (throwing on a missing/malformed file); a
-/// replayed trace that converges early is simply truncated, and one
-/// that runs out of steps falls back to plain pull sweeps until the
-/// fixed point.
+/// from spec.replay_path (throwing on a missing/malformed file) and run
+/// its step kinds; a replay that converges early is simply truncated,
+/// and one that runs out of steps falls back to plain pull sweeps until
+/// the fixed point.
 [[nodiscard]] PlanResult solve_with_plan(const graph::CsrGraph& graph,
                                          const core::CcOptions& options,
                                          const PlanSpec& spec);

@@ -45,8 +45,6 @@ void write_trace(std::ostream& out, const PlanTrace& trace) {
     const TraceStep& s = trace.steps[i];
     out << "step " << i << " " << to_string(s.step.kind)
         << " requested=" << to_string(s.requested)
-        << " hub_split=" << (s.step.hub_split ? 1 : 0)
-        << " simd=" << support::to_string(s.step.simd)
         << " active_vertices=" << s.active_vertices
         << " active_edges=" << s.active_edges
         << " label_changes=" << s.label_changes;
@@ -125,12 +123,6 @@ PlanTrace read_trace(std::istream& in) {
           const auto requested = parse_step_kind(val);
           if (!requested) malformed("unknown step kind '" + val + "'");
           step.requested = *requested;
-        } else if (name == "hub_split") {
-          step.step.hub_split = val != "0";
-        } else if (name == "simd") {
-          const auto level = support::parse_simd_level(val);
-          if (!level) malformed("unknown simd level '" + val + "'");
-          step.step.simd = *level;
         } else if (name == "active_vertices") {
           step.active_vertices = std::stoull(val);
         } else if (name == "active_edges") {
@@ -145,8 +137,8 @@ PlanTrace read_trace(std::istream& in) {
           step.giant_fraction = parse_double(val);
         } else {
           // Forward compatibility: newer writers may record attributes
-          // this reader does not know; the executed kind above is all
-          // replay strictly needs.
+          // this reader does not know (and older ones wrote hub_split=
+          // and simd=); the executed kind above is all replay needs.
           std::fprintf(stderr,
                        "plan trace: skipping unknown step attribute '%s' "
                        "(written by a newer version?)\n",

@@ -7,8 +7,10 @@
 //   * debugging — dump with `thrifty_cc --plan-trace=<file>` and diff
 //     two runs' decision sequences textually;
 //   * replay — `--plan=replay:<file>` re-executes the recorded step
-//     sequence, byte-identically reproducing the labels at any thread
-//     count (the executor is deterministic per step);
+//     kinds at any thread count and reaches the same partition.  The
+//     in-place sweeps are schedule-dependent, so a replay may converge a
+//     step earlier or later than the recording; the counts it records
+//     are its own, not a byte copy of the original's;
 //   * oracles — plan_test round-trips traces through dump/parse/replay.
 //
 // Text format, one record per line (`# thrifty plan trace v1`):
@@ -40,10 +42,7 @@ struct TraceStep {
   std::uint64_t active_edges = 0;
   std::uint64_t label_changes = 0;
   /// Async steps only: successful CAS-min publishes observed while the
-  /// barrier-free drain ran.  Schedule-dependent — the one field of a
-  /// trace that is *not* byte-stable across thread counts (replay
-  /// re-runs an async step and records, rather than reproduces, its
-  /// interior; the resulting partition is deterministic regardless).
+  /// barrier-free drain ran.
   std::uint64_t publishes = 0;
   double density = 0.0;
   double giant_fraction = -1.0;

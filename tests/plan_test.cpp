@@ -1,9 +1,9 @@
 // Tests for src/plan: spec parsing, the adaptive planner's decision
-// heuristics, decision determinism across thread counts, PlanTrace
-// round-trip and byte-identical replay, the sampling-then-finish
-// cutover, step sanitizing against adversarial plans, and a fuzz loop
-// replaying random fixed plans against the union-find reference with
-// ddmin shrinking of any failure.
+// heuristics, partition determinism across thread counts, PlanTrace
+// round-trip and step-kind replay, the sampling-then-finish cutover,
+// step sanitizing against adversarial plans, in-place pull convergence
+// speed, and a fuzz loop replaying random fixed plans against the
+// union-find reference with ddmin shrinking of any failure.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -50,25 +50,10 @@ core::CcOptions base_options() {
   return options;
 }
 
-std::vector<Label> labels_of(const core::CcResult& result) {
-  const auto span = result.label_span();
-  return {span.begin(), span.end()};
-}
-
 std::string trace_text(const PlanTrace& trace) {
   std::ostringstream out;
   write_trace(out, trace);
   return out.str();
-}
-
-// Trace text with the publish counts of async steps zeroed.  The publish
-// count is the one schedule-dependent trace field (trace.hpp): an async
-// step's interior is re-run, not byte-reproduced, so determinism
-// comparisons hold everything *except* that count to byte equality.
-std::string normalized_trace_text(const PlanTrace& trace) {
-  PlanTrace normalized = trace;
-  for (TraceStep& step : normalized.steps) step.publishes = 0;
-  return trace_text(normalized);
 }
 
 bool has_finish_step(const PlanTrace& trace) {
@@ -131,24 +116,20 @@ TEST(ParsePlanSpec, EmptyMeansAutoAndHugeRepeatsAreCapped) {
   // anything past 2^20 steps could never execute anyway.
   const PlanSpec capped = parse_plan_spec("fixed:pull*9999999999");
   EXPECT_EQ(capped.fixed_steps.size(), std::size_t{1} << 20);
+  // The cap bounds the whole expansion, not each item: three items of
+  // 2^20 each still expand to 2^20 steps.
+  const PlanSpec many = parse_plan_spec(
+      "fixed:pull*1048576,pullf*1048576,push*1048576");
+  EXPECT_EQ(many.fixed_steps.size(), std::size_t{1} << 20);
 }
 
 TEST(AdaptivePlanner, DensityThresholdDirectionSwitching) {
-  GraphProfile profile;
-  profile.num_vertices = 1000;
-  profile.num_directed_edges = 10000;
   PlanOptions options;
   options.density_threshold = 0.01;
-  AdaptivePlanner planner(profile, options);
+  AdaptivePlanner planner(options);
 
-  // Iteration 0 always runs the frontier-building pull.
+  // Sparse + executable frontier -> push.
   Observation obs;
-  obs.iteration = 0;
-  obs.density = 1.0;
-  EXPECT_EQ(planner.next(obs).kind, StepKind::kPullFrontier);
-
-  // Sparse + materialised frontier -> push.
-  obs.iteration = 1;
   obs.density = 0.005;
   obs.have_frontier = true;
   EXPECT_EQ(planner.next(obs).kind, StepKind::kPush);
@@ -167,51 +148,12 @@ TEST(AdaptivePlanner, DensityThresholdDirectionSwitching) {
   EXPECT_EQ(planner.next(obs).kind, StepKind::kPull);
 }
 
-// The async band: mid-density (between the direction threshold and 4x
-// it) with moderate skew (>= 1, below the hub-split point) drains
-// barrier-free; hub-dominated or degenerate-skew profiles keep the
-// synchronous path, as does the deep-dense regime.
-TEST(AdaptivePlanner, AsyncFiresOnlyInMidDensityModerateSkewBand) {
-  GraphProfile profile;
-  profile.num_vertices = 1000;
-  profile.num_directed_edges = 10000;
-  profile.skew = 3.0;
-  PlanOptions options;
-  options.density_threshold = 0.01;
-  AdaptivePlanner moderate(profile, options);
-
-  Observation obs;
-  obs.iteration = 1;
-  obs.density = 0.02;  // mid-density: [threshold, 4*threshold)
-  EXPECT_EQ(moderate.next(obs).kind, StepKind::kAsync);
-  obs.density = 0.9;  // deep-dense: plain pull stays cheapest
-  EXPECT_EQ(moderate.next(obs).kind, StepKind::kPull);
-  obs.density = 0.005;  // sparse: direction switching owns this regime
-  EXPECT_NE(moderate.next(obs).kind, StepKind::kAsync);
-  obs.iteration = 0;  // bootstrap pull always runs first
-  obs.density = 0.02;
-  EXPECT_EQ(moderate.next(obs).kind, StepKind::kPullFrontier);
-
-  profile.skew = 20.0;  // hub-dominated: hub split beats barrier-free
-  AdaptivePlanner skewed(profile, options);
-  obs.iteration = 1;
-  EXPECT_EQ(skewed.next(obs).kind, StepKind::kPullFrontier);
-
-  profile.skew = 0.0;  // degenerate profile: signal says nothing
-  AdaptivePlanner degenerate(profile, options);
-  EXPECT_EQ(degenerate.next(obs).kind, StepKind::kPullFrontier);
-}
-
 TEST(AdaptivePlanner, GiantCutoverTriggersOnlyWhenEnabled) {
-  GraphProfile profile;
-  profile.num_vertices = 1000;
-  profile.num_directed_edges = 10000;
   PlanOptions options;
   options.finish_cutover = 0.75;
-  AdaptivePlanner planner(profile, options);
+  AdaptivePlanner planner(options);
 
   Observation obs;
-  obs.iteration = 2;
   obs.density = 0.5;
   obs.giant_fraction = 0.8;
   EXPECT_EQ(planner.next(obs).kind, StepKind::kFinish);
@@ -222,19 +164,9 @@ TEST(AdaptivePlanner, GiantCutoverTriggersOnlyWhenEnabled) {
   EXPECT_NE(planner.next(obs).kind, StepKind::kFinish);
 
   options.finish_cutover = 0.0;  // outside (0, 1]: cutover disabled
-  AdaptivePlanner no_cutover(profile, options);
+  AdaptivePlanner no_cutover(options);
   obs.giant_fraction = 1.0;
   EXPECT_NE(no_cutover.next(obs).kind, StepKind::kFinish);
-}
-
-TEST(GraphProfile, SampleIsDeterministicAndSeesSkew) {
-  const CsrGraph star = graph_for("hub_star:3");
-  const GraphProfile a = GraphProfile::sample(star, 42);
-  const GraphProfile b = GraphProfile::sample(star, 42);
-  EXPECT_EQ(a.max_sampled_degree, b.max_sampled_degree);
-  EXPECT_DOUBLE_EQ(a.skew, b.skew);
-  // A hub star's dominant vertex dwarfs the average degree.
-  EXPECT_GT(a.skew, 8.0);
 }
 
 TEST(FixedPlanner, LastStepRepeatsForever) {
@@ -248,35 +180,25 @@ TEST(FixedPlanner, LastStepRepeatsForever) {
   EXPECT_THROW(FixedPlanner(std::vector<PlanStep>{}), std::runtime_error);
 }
 
-// Decision determinism: for a fixed seed the auto planner must make the
-// same decisions — and the executor must produce byte-identical labels —
-// at every thread count.  Traces are compared with async publish counts
-// normalized out (the one documented schedule-dependent field);
-// all_satellites drives the planner through its async band, so the
-// terminal async step's label bytes and decision sequence are held to
-// the same bar as the synchronous kinds.
-TEST(Determinism, TraceAndLabelsIdenticalAtEveryThreadCount) {
+// Partition determinism: the in-place kernels make the interior of a
+// solve schedule-dependent, so the bar at every thread count is the
+// union-find reference partition.  all_satellites drives the planner
+// through a solve with no giant component, hub_star through the finish
+// cutover.
+TEST(Determinism, PartitionIdenticalAtEveryThreadCount) {
   for (const char* scenario :
        {"permuted_rmat:5", "hub_star:2", "all_satellites:6"}) {
     const CsrGraph graph = graph_for(scenario);
+    const std::vector<Label> reference = testing::reference_partition(graph);
     const PlanSpec spec = parse_plan_spec("auto");
-    std::string reference_trace;
-    std::vector<Label> reference_labels;
     for (const int threads : {1, 2, 4, 8}) {
       support::ThreadCountGuard guard(threads);
       const PlanResult result =
           solve_with_plan(graph, base_options(), spec);
-      const std::string text = normalized_trace_text(result.trace);
-      const std::vector<Label> labels = labels_of(result.result);
-      if (reference_trace.empty()) {
-        reference_trace = text;
-        reference_labels = labels;
-      } else {
-        EXPECT_EQ(text, reference_trace)
-            << scenario << " trace differs at " << threads << " threads";
-        EXPECT_EQ(labels, reference_labels)
-            << scenario << " labels differ at " << threads << " threads";
-      }
+      EXPECT_FALSE(result.trace.steps.empty());
+      EXPECT_TRUE(
+          core::same_partition(result.result.label_span(), reference))
+          << scenario << " partition differs at " << threads << " threads";
     }
   }
 }
@@ -305,8 +227,8 @@ TEST(Trace, AsyncStepRecordsPublishesAndRoundTrips) {
       graph, base_options(), parse_plan_spec("fixed:async"));
   ASSERT_EQ(result.trace.steps.size(), 1u);
   EXPECT_EQ(result.trace.steps[0].step.kind, StepKind::kAsync);
-  // Identity-initialised labels give every non-minimum vertex something
-  // to learn, so a first-step drain must publish.
+  // The Initial Push only reaches the hub's clique, so the drain still
+  // has the other clique's labels to lower and must publish.
   EXPECT_GT(result.trace.steps[0].publishes, 0u);
   EXPECT_TRUE(core::same_partition(result.result.label_span(),
                                    testing::reference_partition(graph)));
@@ -318,6 +240,8 @@ TEST(Trace, AsyncStepRecordsPublishesAndRoundTrips) {
   EXPECT_EQ(parsed, result.trace);
 }
 
+// hub_split= and simd= are attributes older writers recorded; they now
+// take the same skip-unknown path as a newer writer's attributes.
 TEST(Trace, UnknownKeysAndAttributesAreSkippedNotFatal) {
   std::istringstream in(
       "# thrifty plan trace v1\n"
@@ -361,12 +285,17 @@ TEST(Trace, RejectsMalformedInput) {
 }
 
 // The replay acceptance bar: dump a trace, replay it through
-// --plan=replay semantics, labels must be byte-identical to the
-// recorded run at 1, 2 and 8 threads.
-TEST(Replay, ReproducesLabelsByteIdenticallyAcrossThreadCounts) {
+// --plan=replay semantics at 1, 2, 4 and 8 threads.  The replay must
+// reach the reference partition and run the recorded step kinds: the
+// two agree over their common prefix, and any step past the recording
+// is the plain-pull fallback.
+TEST(Replay, RunsRecordedStepKindsToThePartitionAcrossThreadCounts) {
   const CsrGraph graph = graph_for("permuted_rmat:11");
   const PlanResult recorded =
       solve_with_plan(graph, base_options(), parse_plan_spec("auto"));
+  const std::vector<Label> reference = testing::reference_partition(graph);
+  ASSERT_TRUE(
+      core::same_partition(recorded.result.label_span(), reference));
 
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() /
@@ -374,18 +303,20 @@ TEST(Replay, ReproducesLabelsByteIdenticallyAcrossThreadCounts) {
   write_trace_file(path.string(), recorded.trace);
   const PlanSpec replay = parse_plan_spec("replay:" + path.string());
 
-  const std::vector<Label> expected = labels_of(recorded.result);
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {1, 2, 4, 8}) {
     support::ThreadCountGuard guard(threads);
     const PlanResult replayed =
         solve_with_plan(graph, base_options(), replay);
-    EXPECT_EQ(labels_of(replayed.result), expected)
+    EXPECT_TRUE(
+        core::same_partition(replayed.result.label_span(), reference))
         << "replay diverged at " << threads << " threads";
-    // The replayed executor runs the recorded step sequence verbatim.
-    ASSERT_EQ(replayed.trace.steps.size(), recorded.trace.steps.size());
-    for (std::size_t i = 0; i < recorded.trace.steps.size(); ++i) {
-      EXPECT_EQ(replayed.trace.steps[i].step,
-                recorded.trace.steps[i].step);
+    ASSERT_FALSE(replayed.trace.steps.empty());
+    for (std::size_t i = 0; i < replayed.trace.steps.size(); ++i) {
+      const StepKind expected = i < recorded.trace.steps.size()
+                                    ? recorded.trace.steps[i].step.kind
+                                    : StepKind::kPull;
+      EXPECT_EQ(replayed.trace.steps[i].step.kind, expected)
+          << "step " << i << " at " << threads << " threads";
     }
   }
   std::filesystem::remove(path);
@@ -410,12 +341,13 @@ TEST(Replay, TruncatedTraceStillConvergesToReference) {
   std::filesystem::remove(path);
 }
 
-// Sampling-then-finish: a planted giant component must trigger the
-// union-find cutover; a graph that is nothing but tiny satellites (the
-// ClueWeb09 regime) must never trigger it.
+// Sampling-then-finish: a giant component must trigger the union-find
+// cutover; a graph that is nothing but tiny satellites (the ClueWeb09
+// regime) must never trigger it.  The giant is an R-MAT graph rather
+// than a hub star, because the Initial Push alone converges a star.
 TEST(Cutover, TriggersOnPlantedGiantNeverOnAllSatellites) {
   {
-    const CsrGraph giant = graph_for("hub_star:6");
+    const CsrGraph giant = graph_for("permuted_rmat:6");
     const PlanResult result =
         solve_with_plan(giant, base_options(), parse_plan_spec("auto"));
     EXPECT_TRUE(has_finish_step(result.trace))
@@ -439,7 +371,7 @@ TEST(Cutover, DisabledByRunConfigKnob) {
   support::RunConfig config = support::run_config();
   config.plan_cutover = 0.0;  // outside (0, 1] disables the cutover
   const support::RunConfigOverride scope(config);
-  const CsrGraph giant = graph_for("hub_star:6");
+  const CsrGraph giant = graph_for("permuted_rmat:6");
   const PlanResult result =
       solve_with_plan(giant, base_options(), parse_plan_spec("auto"));
   EXPECT_FALSE(has_finish_step(result.trace));
@@ -487,6 +419,27 @@ TEST(AdversarialPlans, AllConvergeToTheReferencePartition) {
           core::same_partition(result.result.label_span(), reference))
           << plan << " diverged on " << scenario;
     }
+  }
+}
+
+// In-place pulls carry a label along a whole partition per sweep (the
+// Unified Labels Array), where a two-array pull moves it one hop: on a
+// 4096-vertex path fixed:pull must converge in far fewer than n / 8
+// steps at every thread count.
+TEST(Solve, InPlacePullCrossesAPathInFewSweeps) {
+  constexpr VertexId kN = 4096;
+  graph::EdgeList edges;
+  for (VertexId v = 0; v + 1 < kN; ++v) edges.push_back({v, v + 1});
+  const CsrGraph path = graph_from_edges(edges, kN);
+  const std::vector<Label> reference = testing::reference_partition(path);
+  for (const int threads : {1, 2, 4, 8}) {
+    support::ThreadCountGuard guard(threads);
+    const PlanResult result =
+        solve_with_plan(path, base_options(), parse_plan_spec("fixed:pull"));
+    EXPECT_LT(result.trace.steps.size(), std::size_t{kN / 8})
+        << "at " << threads << " threads";
+    EXPECT_TRUE(
+        core::same_partition(result.result.label_span(), reference));
   }
 }
 

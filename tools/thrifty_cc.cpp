@@ -23,9 +23,10 @@
 // --plan drives the adaptive execution planner (src/plan/): it implies
 // --algo=adaptive, accepts auto (runtime decisions), fixed:<spec> (a
 // scripted strategy sequence like fixed:pullf,push or fixed:pull*2,
-// finish) or replay:<file> (byte-exact re-execution of a recorded
-// trace).  --plan-trace dumps the decision record of the solve to FILE
-// for diffing and later replay.
+// finish) or replay:<file> (re-runs the step kinds of a recorded trace
+// to the same partition).  Every plan runs on Thrifty's kernels and its
+// single in-place label array.  --plan-trace dumps the decision record
+// of the solve to FILE for diffing and later replay.
 //
 // --shards=K runs the sharded solver (src/shard/) on an in-memory
 // K-way decomposition of the input.  A <snapshot>.shards manifest as
