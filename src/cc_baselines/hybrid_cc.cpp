@@ -1,10 +1,10 @@
 #include "cc_baselines/hybrid_cc.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "cc_baselines/concurrent_hook.hpp"
-#include "spmv/engine.hpp"
+#include "core/thrifty.hpp"
+#include "instrument/counters.hpp"
 #include "support/timer.hpp"
 
 namespace thrifty::baselines {
@@ -12,25 +12,6 @@ namespace thrifty::baselines {
 using graph::EdgeOffset;
 using graph::Label;
 using graph::VertexId;
-
-namespace {
-
-/// Label-propagation finish over the phase-1 component labelling: the
-/// estimated giant holds 0 (bottom), every other phase-1 component a
-/// distinct root-derived label.
-struct FinishProgram {
-  using Value = Label;
-  static constexpr bool kHasBottom = true;
-
-  const Label* initial;
-
-  Value bottom() const { return 0; }
-  Value init(VertexId v) const { return initial[v]; }
-  Value relax(VertexId, VertexId, Value x) const { return x; }
-  std::vector<VertexId> seeds(const graph::CsrGraph&) const { return {}; }
-};
-
-}  // namespace
 
 core::CcResult sampled_lp_cc(const graph::CsrGraph& graph,
                              const core::CcOptions& options) {
@@ -41,8 +22,9 @@ core::CcResult sampled_lp_cc(const graph::CsrGraph& graph,
   support::Timer timer;
   if (n == 0) return result;
 
-  // Phase 1: k-out neighbour sampling into a concurrent union-find.
-  core::LabelArray comp(n);
+  // Phase 1: k-out neighbour sampling into a concurrent union-find, built
+  // in the label array itself.
+  core::LabelArray& comp = result.labels;
 #pragma omp parallel for schedule(static)
   for (VertexId v = 0; v < n; ++v) comp[v] = v;
   const auto rounds =
@@ -63,24 +45,23 @@ core::CcResult sampled_lp_cc(const graph::CsrGraph& graph,
 
   // Seed labels: 0 across the estimated giant (region-wide Zero
   // Planting), root+1 elsewhere — distinct per phase-1 component, all
-  // above the bottom.
+  // above the bottom: the kernel invariant core::thrifty_finish
+  // requires.  Each slot reads only its own root, so the rewrite is safe
+  // in place.
 #pragma omp parallel for schedule(static)
   for (VertexId v = 0; v < n; ++v) {
     const Label root = core::load_label(comp[v]);
     comp[v] = (giant && root == *giant) ? 0 : root + 1;
   }
 
-  // Phase 2: label-propagation finish over the unsampled connectivity.
-  spmv::EngineOptions engine_options;
-  engine_options.density_threshold = options.density_threshold;
-  auto finish = spmv::run_min_propagation(
-      graph, FinishProgram{comp.data()}, engine_options);
-  result.labels = std::move(finish.values);
-
+  // Phase 2: Thrifty's direction loop over the unsampled connectivity.
+  if (options.instrument) {
+    core::thrifty_finish<instrument::ActiveCounters>(graph, options, result);
+  } else {
+    core::thrifty_finish<instrument::NullCounters>(graph, options, result);
+  }
   result.stats.total_ms = timer.elapsed_ms();
-  result.stats.num_iterations =
-      static_cast<int>(rounds) + finish.stats.num_iterations;
-  result.stats.events = finish.stats.events;
+  result.stats.num_iterations += static_cast<int>(rounds);
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <span>
 
 #include "core/lp_internal.hpp"
+#include "core/lp_kernels.hpp"
 #include "frontier/bitmap.hpp"
 #include "frontier/density.hpp"
 #include "frontier/hub_chunks.hpp"
@@ -26,32 +27,33 @@ using instrument::IterationRecord;
 
 namespace {
 
-/// Algorithm 1, templated on the counter policy and on whether the
-/// Unified Labels Array optimisation is applied (the §V-D ablation).
-template <typename Counters, bool kUnified>
+/// Algorithm 1 as the paper states it, templated on the counter policy:
+/// old and new label arrays, synchronised after every iteration.
+template <typename Counters>
 CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
                    std::span<const Label> final_labels) {
   const VertexId n = g.num_vertices();
   const EdgeOffset m = g.num_directed_edges();
 
   CcResult result;
-  result.stats.algorithm = kUnified ? "dolp_unified" : "dolp";
+  result.stats.algorithm = "dolp";
   result.stats.instrumented = Counters::kEnabled;
   result.labels = make_label_array(n);
   if (n == 0) return result;
 
   LabelArray& new_lbs = result.labels;
-  LabelArray old_lbs = make_label_array(kUnified ? 0 : n);
+  LabelArray old_lbs = make_label_array(n);
 
   Counters counters;
   support::Timer total_timer;
+  detail::IterationLog<Counters> log(result, counters, final_labels);
 
   // Initial label assignment (Lines 2-4): every vertex labelled by its own
   // id, and every vertex active.
 #pragma omp parallel for schedule(static)
   for (VertexId v = 0; v < n; ++v) {
     new_lbs[v] = v;
-    if constexpr (!kUnified) old_lbs[v] = v;
+    old_lbs[v] = v;
   }
 
   // Frontier bookkeeping: a bitmap deduplicates push insertions within an
@@ -80,8 +82,7 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
     rec.active_vertices = active_vertices;
     rec.density =
         frontier::frontier_density(active_vertices, active_edges, m);
-    const auto counters_before = counters.total();
-    support::Timer iteration_timer;
+    log.start();
 
     std::uint64_t changes = 0;
     std::uint64_t changed_edges = 0;
@@ -135,8 +136,7 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
             continue;
           }
           counters.label_read();
-          const Label lv = kUnified ? load_label(new_lbs[v]) : old_lbs[v];
-          push_label_along(lv, g.neighbors(v));
+          push_label_along(old_lbs[v], g.neighbors(v));
         }
         // The worksharing barrier above guarantees every hub is collected
         // before one thread builds the chunk index.
@@ -145,10 +145,9 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
         hubs.drain(t, degree_of,
                    [&](int, VertexId v, EdgeOffset begin, EdgeOffset end) {
                      counters.label_read();
-                     const Label lv =
-                         kUnified ? load_label(new_lbs[v]) : old_lbs[v];
                      push_label_along(
-                         lv, g.neighbors(v).subspan(begin, end - begin));
+                         old_lbs[v],
+                         g.neighbors(v).subspan(begin, end - begin));
                    });
       }
     } else {
@@ -161,40 +160,32 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
 #pragma omp for schedule(dynamic, 256) nowait
         for (VertexId v = 0; v < n; ++v) {
           counters.label_read();
-          const Label old_label =
-              kUnified ? load_label(new_lbs[v]) : old_lbs[v];
+          const Label old_label = old_lbs[v];
           Label new_label = old_label;
           const auto nbrs = g.neighbors(v);
           if constexpr (!Counters::kEnabled) {
             // Vectorized gather–min over the neighbour labels; DO-LP
             // has no zero-convergence exit, so the scan always reads
             // the full adjacency slice.
-            const Label* source = kUnified ? new_lbs.data() : old_lbs.data();
             new_label = support::simd::min_gather_u32(
-                source, nbrs.data(), nbrs.size(), old_label,
+                old_lbs.data(), nbrs.data(), nbrs.size(), old_label,
                 /*stop_at_zero=*/false, simd_level);
           } else {
             for (std::size_t j = 0; j < nbrs.size(); ++j) {
               if (j + support::kPrefetchDistance < nbrs.size()) {
-                const VertexId ahead = nbrs[j + support::kPrefetchDistance];
-                support::prefetch_read(kUnified ? &new_lbs[ahead]
-                                                : &old_lbs[ahead]);
+                support::prefetch_read(
+                    &old_lbs[nbrs[j + support::kPrefetchDistance]]);
               }
               const VertexId u = nbrs[j];
               counters.edge();
               counters.label_read();
-              const Label lu =
-                  kUnified ? load_label(new_lbs[u]) : old_lbs[u];
+              const Label lu = old_lbs[u];
               if (lu < new_label) new_label = lu;
             }
           }
           if (new_label < old_label) {
             counters.label_write();
-            if constexpr (kUnified) {
-              store_label(new_lbs[v], new_label);
-            } else {
-              new_lbs[v] = new_label;
-            }
+            new_lbs[v] = new_label;
             counters.frontier_push();
             buffer.push_back(v);
             ++changes;
@@ -206,27 +197,16 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
 
     // Label array synchronisation (Lines 21-22) — removed by the Unified
     // Labels Array optimisation.  Runs as a parallel SIMD copy sweep.
-    if constexpr (!kUnified) {
-      counters.label_read(n);
-      counters.label_write(n);
-      copy_labels({new_lbs.data(), new_lbs.size()},
-                  {old_lbs.data(), old_lbs.size()});
-    }
+    counters.label_read(n);
+    counters.label_write(n);
+    copy_labels({new_lbs.data(), new_lbs.size()},
+                {old_lbs.data(), old_lbs.size()});
 
     queue.slide_window();
     actives.swap(queue);  // new frontier becomes next iteration's window
 
     rec.label_changes = changes;
-    rec.time_ms = iteration_timer.elapsed_ms();
-    if constexpr (Counters::kEnabled) {
-      rec.edges_processed = detail::edges_delta(counters_before,
-                                                counters.total());
-      if (!final_labels.empty()) {
-        rec.converged_vertices =
-            detail::count_converged(result.label_span(), final_labels);
-      }
-    }
-    result.stats.iterations.push_back(rec);
+    log.bank(rec);
 
     active_vertices = changes;
     active_edges = changed_edges;
@@ -240,29 +220,77 @@ CcResult dolp_impl(const CsrGraph& g, const CcOptions& options,
   return result;
 }
 
-template <bool kUnified>
-CcResult dolp_dispatch(const CsrGraph& g, const CcOptions& options) {
-  if (!options.instrument) {
-    return dolp_impl<instrument::NullCounters, kUnified>(g, options, {});
+/// DO-LP+Unified (§V-D) as a policy over the kernel layer: Algorithm 1
+/// with only the Unified Labels Array applied.  The kernels are planted
+/// with no sites, so labels start at v, and Zero Convergence is compiled
+/// out.  Every pull builds the frontier, as Algorithm 1's pulls do, and a
+/// sparse frontier is pushed.
+template <typename Counters>
+CcResult dolp_unified_impl(const CsrGraph& g, const CcOptions& options,
+                           std::span<const Label> final_labels) {
+  const VertexId n = g.num_vertices();
+  const EdgeOffset m = g.num_directed_edges();
+
+  CcResult result;
+  result.stats.algorithm = "dolp_unified";
+  result.stats.instrumented = Counters::kEnabled;
+  result.labels = make_label_array(n);
+  if (n == 0) return result;
+
+  Counters counters;
+  support::Timer total_timer;
+  LpKernels<Counters, /*kZeroConv=*/false> kernels(
+      g, result.labels, options.partitions_per_thread, counters);
+  detail::IterationLog<Counters> log(result, counters, final_labels);
+  kernels.plant({});
+
+  frontier::LocalWorklists::Mass active{n, m};
+  int iteration = 0;
+  while (active.vertices > 0) {
+    IterationRecord rec;
+    rec.index = iteration;
+    rec.active_vertices = active.vertices;
+    rec.density =
+        frontier::frontier_density(active.vertices, active.edges, m);
+    log.start();
+    if (frontier::is_sparse(rec.density, options.density_threshold) &&
+        kernels.push_ready()) {
+      rec.direction = Direction::kPush;
+      active = kernels.push();
+    } else {
+      rec.direction = Direction::kPull;
+      active = kernels.pull(/*build_frontier=*/true);
+    }
+    rec.label_changes = active.vertices;
+    log.bank(rec);
+    ++iteration;
   }
-  // Instrumented run: first compute the final labels (cheaply), so each
-  // iteration can report how many vertices have already converged.
-  CcOptions plain = options;
-  plain.instrument = false;
-  const CcResult reference =
-      dolp_impl<instrument::NullCounters, kUnified>(g, plain, {});
-  return dolp_impl<instrument::ActiveCounters, kUnified>(
-      g, options, reference.label_span());
+
+  result.stats.total_ms = total_timer.elapsed_ms();
+  result.stats.num_iterations = iteration;
+  result.stats.events = counters.total();
+  return result;
 }
 
 }  // namespace
 
 CcResult dolp_cc(const CsrGraph& graph, const CcOptions& options) {
-  return dolp_dispatch<false>(graph, options);
+  return detail::run_with_reference(
+      options, [&](auto counters, const CcOptions& run_options,
+                   std::span<const Label> final_labels) {
+        using Counters = typename decltype(counters)::type;
+        return dolp_impl<Counters>(graph, run_options, final_labels);
+      });
 }
 
 CcResult dolp_unified_cc(const CsrGraph& graph, const CcOptions& options) {
-  return dolp_dispatch<true>(graph, options);
+  return detail::run_with_reference(
+      options, [&](auto counters, const CcOptions& run_options,
+                   std::span<const Label> final_labels) {
+        using Counters = typename decltype(counters)::type;
+        return dolp_unified_impl<Counters>(graph, run_options,
+                                           final_labels);
+      });
 }
 
 CcResult lp_pull_cc(const CsrGraph& graph, const CcOptions& options) {

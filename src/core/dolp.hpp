@@ -6,7 +6,9 @@
 // `dolp_unified_cc` is the §V-D ablation variant: Algorithm 1 with only
 // the Unified Labels Array optimisation applied (a single label array, no
 // end-of-iteration synchronisation), isolating that technique's
-// contribution from Zero Planting / Zero Convergence / Initial Push.
+// contribution from Zero Planting / Zero Convergence / Initial Push.  It
+// is a DO-LP policy over the label-propagation kernel layer
+// (core/lp_kernels.hpp); `dolp_cc` keeps its own two-array loops.
 #pragma once
 
 #include "core/cc_common.hpp"

@@ -2,10 +2,12 @@
 // Array (§IV-A): one in-place label array that every kernel reads and
 // lowers, so an update propagates within the iteration that computes it.
 //
-// Thrifty (core/thrifty.cpp) and the plan executor (plan/solve.cpp) are
-// policies over this one layer — they decide which kernel runs next and
-// record what happened; the kernels own the label array's frontier and
-// the invariant that makes a push correct.  The kernels are:
+// Four policies run over this one layer: Thrifty and its seeded finish
+// for Sampled+LP (core/thrifty.cpp), DO-LP+Unified (core/dolp.cpp) and
+// the plan executor (plan/solve.cpp).  They decide which kernel runs
+// next and record what happened; the kernels own the label array's
+// frontier and the invariant that makes a push correct.  The kernels
+// are:
 //
 //   * plant        — Zero Planting (§IV-C): labels start at v + k and the
 //                    k plant sites take 0..k-1;

@@ -90,6 +90,42 @@ std::vector<VertexId> select_plant_sites(const CsrGraph& g, PlantSite site,
   return sites;
 }
 
+using Mass = frontier::LocalWorklists::Mass;
+
+/// Thrifty's direction loop (Lines 14-37) over the kernels' label array,
+/// from frontier mass `active`, numbering iterations from `iteration`.
+/// Sparse frontiers push once a full pull has run; otherwise pull,
+/// materialising the detailed frontier (Pull-Frontier, §IV-E) just
+/// before the switch to push.  Returns the iteration count.
+template <typename Counters, bool kZeroConv>
+int direction_loop(const CsrGraph& g, const CcOptions& options,
+                   LpKernels<Counters, kZeroConv>& kernels,
+                   detail::IterationLog<Counters>& log, Mass active,
+                   int iteration) {
+  const EdgeOffset m = g.num_directed_edges();
+  while (active.vertices > 0) {
+    IterationRecord rec;
+    rec.index = iteration;
+    rec.active_vertices = active.vertices;
+    rec.density =
+        frontier::frontier_density(active.vertices, active.edges, m);
+    log.start();
+    const bool sparse =
+        frontier::is_sparse(rec.density, options.density_threshold);
+    if (sparse && kernels.push_ready()) {
+      rec.direction = Direction::kPush;
+      active = kernels.push();
+    } else {
+      rec.direction = sparse ? Direction::kPullFrontier : Direction::kPull;
+      active = kernels.pull(/*build_frontier=*/sparse);
+    }
+    rec.label_changes = active.vertices;
+    log.bank(rec);
+    ++iteration;
+  }
+  return iteration;
+}
+
 /// Algorithm 2 as a policy over the kernel layer (core/lp_kernels.hpp),
 /// templated on the counter policy and (for the hot loops) on whether
 /// Zero Convergence is compiled in.  The plant site and the Initial Push
@@ -115,6 +151,7 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
   support::Timer total_timer;
   LpKernels<Counters, kZeroConv> kernels(
       g, result.labels, options.partitions_per_thread, counters);
+  detail::IterationLog<Counters> log(result, counters, final_labels);
 
   // --- Zero Planting: the k smallest labels go to the plant sites — the
   // maximum-degree vertices in real Thrifty (k = 1 in the paper), almost
@@ -123,25 +160,10 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
       g, variant.plant_site, variant.plant_count, options.seed);
   kernels.plant(seeds);
 
-  // Fills the instrumented fields of one iteration record and banks it.
-  const auto finish_record = [&](IterationRecord& rec,
-                                 const instrument::EventCounters& before,
-                                 const support::Timer& iteration_timer) {
-    rec.time_ms = iteration_timer.elapsed_ms();
-    if constexpr (Counters::kEnabled) {
-      rec.edges_processed = detail::edges_delta(before, counters.total());
-      if (!final_labels.empty()) {
-        rec.converged_vertices =
-            detail::count_converged(result.label_span(), final_labels);
-      }
-    }
-    result.stats.iterations.push_back(rec);
-  };
-
-  std::uint64_t active_vertices = 0;
-  std::uint64_t active_edges = 0;
+  // Ablation: without Initial Push, a DO-LP-style eager bootstrap —
+  // everything active.
+  Mass active{n, m};
   int iteration = 0;
-
   if (variant.initial_push) {
     // --- Initial Push: the zero label travels from the hub to its
     // neighbours only.
@@ -153,53 +175,16 @@ CcResult thrifty_impl(const CsrGraph& g, const CcOptions& options,
     for (const VertexId s : seeds) seed_degree_sum += g.degree(s);
     rec.density =
         frontier::frontier_density(seeds.size(), seed_degree_sum, m);
-    const auto counters_before = counters.total();
-    support::Timer iteration_timer;
-    const auto mass = kernels.initial_push(seeds);
-    active_vertices = mass.vertices;
-    active_edges = mass.edges;
-    rec.label_changes = mass.vertices;
-    finish_record(rec, counters_before, iteration_timer);
+    log.start();
+    active = kernels.initial_push(seeds);
+    rec.label_changes = active.vertices;
+    log.bank(rec);
     iteration = 1;
-  } else {
-    // Ablation: DO-LP-style eager bootstrap — everything active.
-    active_vertices = n;
-    active_edges = m;
   }
 
-  while (active_vertices > 0) {
-    IterationRecord rec;
-    rec.index = iteration;
-    rec.active_vertices = active_vertices;
-    rec.density =
-        frontier::frontier_density(active_vertices, active_edges, m);
-    const auto counters_before = counters.total();
-    support::Timer iteration_timer;
-
-    // Sparse frontiers push once a full pull has run; otherwise pull,
-    // materialising the detailed frontier (Pull-Frontier, §IV-E) just
-    // before the switch to push.
-    const bool sparse =
-        frontier::is_sparse(rec.density, options.density_threshold);
-    typename LpKernels<Counters, kZeroConv>::Mass changed;
-    if (sparse && kernels.push_ready()) {
-      rec.direction = Direction::kPush;
-      changed = kernels.push();
-    } else {
-      rec.direction = sparse ? Direction::kPullFrontier : Direction::kPull;
-      changed = kernels.pull(/*build_frontier=*/sparse);
-    }
-
-    rec.label_changes = changed.vertices;
-    finish_record(rec, counters_before, iteration_timer);
-
-    active_vertices = changed.vertices;
-    active_edges = changed.edges;
-    ++iteration;
-  }
-
+  result.stats.num_iterations =  // Initial Push counted (§V-C)
+      direction_loop(g, options, kernels, log, active, iteration);
   result.stats.total_ms = total_timer.elapsed_ms();
-  result.stats.num_iterations = iteration;  // Initial Push counted (§V-C)
   result.stats.events = counters.total();
   return result;
 }
@@ -215,6 +200,29 @@ CcResult dispatch_zero_conv(const CsrGraph& g, const CcOptions& options,
 }
 
 }  // namespace
+
+template <typename Counters>
+void thrifty_finish(const CsrGraph& graph, const CcOptions& options,
+                    CcResult& result) {
+  const VertexId n = graph.num_vertices();
+  THRIFTY_EXPECTS(result.labels.size() == n);
+  result.stats.instrumented = Counters::kEnabled;
+  if (n == 0) return;
+  Counters counters;
+  LpKernels<Counters, /*kZeroConv=*/true> kernels(
+      graph, result.labels, options.partitions_per_thread, counters);
+  detail::IterationLog<Counters> log(result, counters, {});
+  result.stats.num_iterations = direction_loop(
+      graph, options, kernels, log, Mass{n, graph.num_directed_edges()}, 0);
+  result.stats.events = counters.total();
+}
+
+template void thrifty_finish<instrument::NullCounters>(const CsrGraph&,
+                                                       const CcOptions&,
+                                                       CcResult&);
+template void thrifty_finish<instrument::ActiveCounters>(const CsrGraph&,
+                                                         const CcOptions&,
+                                                         CcResult&);
 
 std::string ThriftyVariant::describe() const {
   std::string name = "thrifty";
@@ -236,16 +244,13 @@ std::string ThriftyVariant::describe() const {
 
 CcResult thrifty_cc_variant(const CsrGraph& graph, const CcOptions& options,
                             const ThriftyVariant& variant) {
-  if (!options.instrument) {
-    return dispatch_zero_conv<instrument::NullCounters>(graph, options,
-                                                        variant, {});
-  }
-  CcOptions plain = options;
-  plain.instrument = false;
-  const CcResult reference = dispatch_zero_conv<instrument::NullCounters>(
-      graph, plain, variant, {});
-  return dispatch_zero_conv<instrument::ActiveCounters>(
-      graph, options, variant, reference.label_span());
+  return detail::run_with_reference(
+      options, [&](auto counters, const CcOptions& run_options,
+                   std::span<const Label> final_labels) {
+        using Counters = typename decltype(counters)::type;
+        return dispatch_zero_conv<Counters>(graph, run_options, variant,
+                                            final_labels);
+      });
 }
 
 CcResult thrifty_cc(const CsrGraph& graph, const CcOptions& options) {

@@ -63,4 +63,17 @@ struct ThriftyVariant {
                                           const CcOptions& options,
                                           const ThriftyVariant& variant);
 
+/// Thrifty's direction loop (Algorithm 2, Lines 14-37, with Zero
+/// Convergence) run from labels the caller has seeded in `result.labels`
+/// — the finish of a sampling-then-finish composition.  Precondition, the
+/// kernel invariant: 0 appears in one component only, and any other
+/// label on a vertex is u + 1 for some vertex u of the same component.
+/// Every vertex starts active, as without Initial Push.  Fills the
+/// iteration records, num_iterations, events and instrumented of
+/// result.stats.  Defined for instrument::NullCounters and
+/// instrument::ActiveCounters.
+template <typename Counters>
+void thrifty_finish(const graph::CsrGraph& graph, const CcOptions& options,
+                    CcResult& result);
+
 }  // namespace thrifty::core

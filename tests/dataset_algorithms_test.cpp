@@ -12,8 +12,6 @@
 #include "core/cc_common.hpp"
 #include "core/thrifty.hpp"
 #include "core/verify.hpp"
-#include "spmv/engine.hpp"
-#include "spmv/program.hpp"
 #include "support/env.hpp"
 
 namespace thrifty {
@@ -30,26 +28,14 @@ TEST_P(DatasetAlgorithmSweep, HeadlineAlgorithmsExactOnStandIn) {
   const graph::CsrGraph g = bench::build_dataset(*spec, Scale::kTiny);
   const auto truth = core::true_component_count(g);
   for (const char* name :
-       {"thrifty", "dolp", "afforest", "jt", "fastsv", "sampled_lp"}) {
+       {"thrifty", "dolp", "dolp_unified", "afforest", "jt", "fastsv",
+        "sampled_lp"}) {
     const auto* entry = baselines::find_algorithm(name);
     const auto result = baselines::run_algorithm(*entry, g);
     const auto verdict = core::verify_labels(g, result.label_span());
     EXPECT_TRUE(verdict.valid)
         << name << " on " << spec->name << ": " << verdict.message;
     EXPECT_EQ(verdict.components, truth) << name;
-  }
-}
-
-TEST_P(DatasetAlgorithmSweep, SpmvEngineAgreesWithThriftyOnStandIn) {
-  const bench::DatasetSpec* spec = bench::find_dataset(GetParam());
-  ASSERT_NE(spec, nullptr);
-  const graph::CsrGraph g = bench::build_dataset(*spec, Scale::kTiny);
-  const auto engine =
-      spmv::run_min_propagation(g, spmv::CcProgram(g));
-  const auto thrifty_run = core::thrifty_cc(g);
-  ASSERT_EQ(engine.values.size(), thrifty_run.labels.size());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(engine.values[v], thrifty_run.labels[v]) << "vertex " << v;
   }
 }
 

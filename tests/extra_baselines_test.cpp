@@ -113,9 +113,12 @@ TEST(SampledLp, GiantComponentGetsZeroLabel) {
 
 TEST(SampledLp, ProcessesFewEdgesOnSkewedGraphs) {
   const CsrGraph g = skewed_graph(13, 12);
-  const auto result = sampled_lp_cc(g);
+  core::CcOptions options;
+  options.instrument = true;
+  const auto result = sampled_lp_cc(g, options);
   // The LP finish only has to close the gap the sampling left: its edge
   // work stays a small multiple of |V| rather than |E| passes.
+  EXPECT_GT(result.stats.events.edges_processed, 0u);
   EXPECT_LT(result.stats.edges_processed_fraction(g.num_directed_edges()),
             0.6);
 }
